@@ -23,6 +23,7 @@ from abeliand.dist import (
     support,
     variance_limit,
 )
+from abeliand.stirling import falling_factorial
 
 ALPHAS = [Fraction(k, 10) for k in range(1, 10)]
 
@@ -323,3 +324,161 @@ def test_moments_dispatch_families():
         assert m.variance == m.second_moment - m.mean**2
     with pytest.raises(ValueError):
         moments("nope", params)
+
+
+def _falling_power_sum(n, p):
+    # The series sum_{i=1..n} (n)_i p^i written term by term: the oracle
+    # for the running product that the moments use.
+    return sum(
+        (falling_factorial(n, i) * p**i for i in range(1, n + 1)), start=Fraction(0)
+    )
+
+
+@pytest.mark.parametrize("N", range(1, 41))
+def test_exact_series_match_term_by_term_oracle(N):
+    for alpha in ALPHAS:
+        params = Params.exact(N, alpha=alpha)
+        p = params.p
+        assert avalanche_mean(params) == _falling_power_sum(N, p)
+        bracket = 1 / (1 - N * p) - 1 - _falling_power_sum(N - 1, p)
+        assert abelian_second_moment(params) == normalization_C(params) / p * bracket
+
+
+# float.hex of (avalanche_mean, E[Z^2], variance).  Any change to the
+# series' factor order, its 1e-25 cut, or the single fsum over the whole
+# second-moment bracket moves these bits.
+FLOAT_PINS = {
+    (1, 1e-07): (
+        "0x1.ad7f29abcaf48p-24",
+        "0x1.000000022a139p+0",
+        "0x1.1509c80000000p-31",
+    ),
+    (1, 1e-05): (
+        "0x1.4f8b588e368f1p-17",
+        "0x1.fffffffff7a24p-1",
+        '-0x1.0bb8000000000p-38',
+    ),
+    (1, 0.3): (
+        "0x1.3333333333333p-2",
+        "0x1.0000000000001p+0",
+        "0x1.0000000000000p-52",
+    ),
+    (1, 0.5): (
+        "0x1.0000000000000p-1",
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
+    ),
+    (1, 0.99): (
+        "0x1.fae147ae147aep-1",
+        "0x1.0000000000000p+0",
+        "0x0.0p+0",
+    ),
+    (2, 1e-07): (
+        "0x1.ad7f2b1414acfp-24",
+        "0x1.0000028892e7bp+0",
+        "0x1.b62777c000000p-25",
+    ),
+    (2, 1e-05): (
+        "0x1.4f8bc681b5f67p-17",
+        "0x1.0000fba8cc83ap+0",
+        "0x1.4f8b3716c0000p-18",
+    ),
+    (2, 0.3): (
+        "0x1.6147ae147ae14p-2",
+        "0x1.8787878787879p+0",
+        "0x1.29a21a930b840p-3",
+    ),
+    (2, 0.5): (
+        "0x1.4000000000000p-1",
+        "0x1.0000000000000p+1",
+        "0x1.c71c71c71c720p-3",
+    ),
+    (2, 0.99): (
+        "0x1.7ae48e8a71de6p+0",
+        "0x1.f86562d9faee4p+1",
+        "0x1.3e02dc63ae000p-6",
+    ),
+    (10, 1e-07): (
+        "0x1.ad7f2c344faa4p-24",
+        "0x1.0000049d48f3dp+0",
+        "0x1.9830d53000000p-24",
+    ),
+    (10, 1e-05): (
+        "0x1.4f8c1e781d3fep-17",
+        "0x1.0001c4fdeccc8p+0",
+        "0x1.2dfef0a100000p-17",
+    ),
+    (10, 0.3): (
+        "0x1.9f1c7200486c1p-2",
+        "0x1.3c40956c0fd4fp+1",
+        "0x1.303a7e0a8f8d8p-1",
+    ),
+    (10, 0.5): (
+        "0x1.b7bceec36ca6dp-1",
+        "0x1.4876ab706f385p+2",
+        "0x1.d392beaeb24d4p+0",
+    ),
+    (10, 0.99): (
+        "0x1.c7e05548eeaa5p+1",
+        "0x1.655813b6da189p+6",
+        "0x1.4ac0bb2e32520p+2",
+    ),
+    (100, 1e-07): (
+        "0x1.ad7f2c7529bd3p-24",
+        "0x1.000005d40aa7dp+0",
+        "0x1.40d1a91800000p-23",
+    ),
+    (100, 1e-05): (
+        "0x1.4f8c3242ce001p-17",
+        "0x1.0001f249685a7p+0",
+        "0x1.4c2f95a8c0000p-17",
+    ),
+    (100, 0.3): (
+        "0x1.b4350f900d671p-2",
+        "0x1.6e77ae126eb95p+1",
+        "0x1.addefdc647870p-1",
+    ),
+    (100, 0.5): (
+        "0x1.f63bf5b685838p-1",
+        "0x1.e3745d93546e9p+2",
+        "0x1.d0ff5e05754aep+1",
+    ),
+    (100, 0.99): (
+        "0x1.686f07ceeb309p+3",
+        "0x1.192626f27f63bp+12",
+        "0x1.ed4c872e25076p+10",
+    ),
+    (1000, 1e-07): (
+        "0x1.ad7f2c7ba5f26p-24",
+        "0x1.00000d7b900f7p+0",
+        "0x1.442db35400000p-21",
+    ),
+    (1000, 1e-05): (
+        "0x1.4f8c343d79884p-17",
+        "0x1.0001f6c2664e7p+0",
+        "0x1.4f175591c0000p-17",
+    ),
+    (1000, 0.3): (
+        "0x1.b696bdb6ee8c3p-2",
+        "0x1.747e6fa263dbap+1",
+        "0x1.bdf8fff8e4828p-1",
+    ),
+    (1000, 0.5): (
+        "0x1.fefb27f5ba767p-1",
+        "0x1.fcf3a965794dcp+2",
+        "0x1.faed1320a50e4p+1",
+    ),
+    (1000, 0.99): (
+        "0x1.ef2ff24640b19p+4",
+        "0x1.ed93c7ae4d17cp+15",
+        "0x1.ace4c2c13b0d8p+15",
+    ),
+}
+
+
+@pytest.mark.parametrize(("N", "alpha"), list(FLOAT_PINS))
+def test_float_moments_bit_identical(N, alpha):
+    params = Params.stable(N, alpha=alpha)
+    m = abelian_variance(params)
+    got = (avalanche_mean(params).hex(), m.second_moment.hex(), m.variance.hex())
+    assert got == FLOAT_PINS[N, alpha]
