@@ -356,7 +356,7 @@ FLOAT_PINS = {
     (1, 1e-05): (
         "0x1.4f8b588e368f1p-17",
         "0x1.fffffffff7a24p-1",
-        '-0x1.0bb8000000000p-38',
+        "-0x1.0bb8000000000p-38",
     ),
     (1, 0.3): (
         "0x1.3333333333333p-2",
