@@ -32,7 +32,6 @@ from .sampler import (
     SampleStats,
     epsilon_sequence,
     monte_carlo,
-    sample_avalanche,
     substream,
 )
 from .stirling import (

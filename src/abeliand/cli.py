@@ -41,15 +41,9 @@ def _build_params(args, mode: str) -> tuple[Params, Fraction | None, Fraction | 
     """Returns params plus the exact alpha/p the user supplied."""
     alpha = _parse_ratio(args.alpha) if args.alpha is not None else None
     p = _parse_ratio(args.p) if args.p is not None else None
+    make = Params.exact if mode == "exact" else Params.stable
     try:
-        if mode == "exact":
-            params = Params.exact(args.N, p=p, alpha=alpha)
-        else:
-            params = Params.stable(
-                args.N,
-                p=None if p is None else float(p),
-                alpha=None if alpha is None else float(alpha),
-            )
+        params = make(args.N, p=p, alpha=alpha)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return params, alpha, p
@@ -173,7 +167,6 @@ def run_verify(args) -> int:
             max_n=args.max_n,
             samples=args.samples,
             seed=seed,
-            fault=args.inject_fault,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -257,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(statistical thresholds assume the default)",
     )
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument(
-        "--inject-fault",
-        choices=("stirling-sign",),
-        default=None,
-        help=argparse.SUPPRESS,
-    )
     p_ver.set_defaults(func=run_verify)
     return parser
 

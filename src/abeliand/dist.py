@@ -3,9 +3,13 @@
 Two evaluation modes share one API.  Exact mode works in
 ``fractions.Fraction`` throughout, so normalization, moment identities and
 the J-term rewrite of the second moment can be asserted with equality.
-Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and the
-second moment through a compensated bracket sum, switching to the
-J-term tail form for large N where the bracket cancels catastrophically.
+Float mode evaluates PMFs in log space (log-gamma binomials, log1p).
+
+Both modes take E(X) and the second-moment bracket from one running
+product of the falling-power terms (n)_i p^i.  Float mode sums the bracket
+with a single compensated fsum and switches to the J-term tail form for
+large N, where the bracket cancels catastrophically.  The exact J-term
+rewrite evaluates the Stirling-row polynomials P_i(N) by integer Horner.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
 shifted Avalanche family (Avalanche + 1) on {1..N+1}.  The shared parameter
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .stirling import falling_factorial, poly_P, stirling_row
+from .stirling import horner, split_index, stirling_row
 
 FAMILIES = ("abelian", "avalanche", "shifted")
 
@@ -58,27 +62,22 @@ class Params:
 
     @classmethod
     def exact(cls, N: int, p=None, alpha=None) -> "Params":
-        _check_N(N)
-        if (p is None) == (alpha is None):
-            raise ValueError("provide exactly one of p or alpha")
-        if alpha is not None:
-            alpha = Fraction(alpha)
-            p = alpha / N
-        else:
-            p = Fraction(p)
-            alpha = p * N
-        return cls(N, p, alpha)
+        return cls._build(Fraction, N, p, alpha)
 
     @classmethod
     def stable(cls, N: int, p=None, alpha=None) -> "Params":
+        return cls._build(float, N, p, alpha)
+
+    @classmethod
+    def _build(cls, number: type, N: int, p, alpha) -> "Params":
         _check_N(N)
         if (p is None) == (alpha is None):
             raise ValueError("provide exactly one of p or alpha")
         if alpha is not None:
-            alpha = float(alpha)
+            alpha = number(alpha)
             p = alpha / N
         else:
-            p = float(p)
+            p = number(p)
             alpha = p * N
         return cls(N, p, alpha)
 
@@ -265,52 +264,42 @@ def abelian_mean(params: Params) -> Number:
     return N / (N - (N - 1) * alpha)
 
 
+def _falling_powers(n: int, p: Number):
+    """Terms (n)_i * p^i for i = 1..n, as the running product of (n-i+1)*p.
+
+    Each factor is below alpha < 1, so the terms decrease.  Float p stops
+    after the first term below 1e-25; exact p yields every term.
+    """
+    cut = 0 if isinstance(p, Fraction) else 1e-25
+    t = 1
+    for i in range(1, n + 1):
+        t *= (n - i + 1) * p
+        yield t
+        if t < cut:
+            return
+
+
+def _total(terms, exact: bool) -> Number:
+    # fsum rounds once over all the terms: the float bracket must go through
+    # it whole, or the cancellation between 1/(1-Np) - 1 and the series
+    # rounds differently.
+    return sum(terms, start=Fraction(0)) if exact else math.fsum(terms)
+
+
 def avalanche_mean(params: Params) -> Number:
     """E(X) = sum_{i=1..N} (N)_i * p^i, with (N)_i the falling factorial."""
-    N, p = params.N, params.p
-    if params.is_exact:
-        return sum(
-            (falling_factorial(N, i) * p**i for i in range(1, N + 1)),
-            start=Fraction(0),
-        )
-    terms = []
-    t = 1.0
-    for i in range(1, N + 1):
-        t *= (N - i + 1) * p
-        terms.append(t)
-        if t < 1e-25:
-            break
-    return math.fsum(terms)
+    return _total(_falling_powers(params.N, params.p), params.is_exact)
 
 
 def abelian_second_moment(params: Params) -> Number:
     """E(Z^2) = (C/p) * [1/(1-Np) - 1 - sum_{i=1..N-1} (N-1)_i p^i]."""
-    N, p = params.N, params.p
-    if params.is_exact:
-        bracket = (
-            1 / (1 - N * p)
-            - 1
-            - sum(
-                (falling_factorial(N - 1, i) * p**i for i in range(1, N)),
-                start=Fraction(0),
-            )
-        )
-        return normalization_C(params) / p * bracket
-    return _float_second_moment(N, p, params.alpha)
-
-
-def _float_bracket(N: int, p: float) -> float:
-    # Terms are products of factors (N-k)*p < alpha < 1, so they decrease
-    # monotonically; the residual bracket is O(p) and fsum keeps the
-    # cancellation between 1/(1-Np) - 1 and the sum exact.
-    terms = [1.0 / (1.0 - N * p), -1.0]
-    t = 1.0
-    for i in range(1, N):
-        t *= (N - i) * p
-        terms.append(-t)
-        if t < 1e-25:
-            break
-    return math.fsum(terms)
+    N, p, alpha = params.N, params.p, params.alpha
+    C = normalization_C(params)
+    if params.is_exact or N <= _FLOAT_TAIL_N:
+        series = (-t for t in _falling_powers(N - 1, p))
+        return C / p * _total([1 / (1 - N * p), -1, *series], params.is_exact)
+    J1 = alpha**N / (p * (1.0 - alpha))
+    return C * (J1 - _float_J3_closed(N, alpha) - _float_J4(N, alpha))
 
 
 def _float_J3_closed(N: int, alpha: float) -> float:
@@ -341,14 +330,6 @@ def _float_J4(N: int, alpha: float) -> float:
         if apow * (2.0 * N * N + (i + 3) * (i + 4) + N) / (1.0 - alpha) < 1e-18:
             break
     return math.fsum(terms)
-
-
-def _float_second_moment(N: int, p: float, alpha: float) -> float:
-    C = (1.0 - N * p) / (1.0 - (N - 1) * p)
-    if N <= _FLOAT_TAIL_N:
-        return C / p * _float_bracket(N, p)
-    J1 = alpha**N / (p * (1.0 - alpha))
-    return C * (J1 - _float_J3_closed(N, alpha) - _float_J4(N, alpha))
 
 
 def abelian_variance(params: Params) -> Moments:
@@ -394,11 +375,6 @@ def moments(family: str, params: Params) -> Moments:
     return Moments(m1, m2, m2 - m1 * m1, params.mode)
 
 
-def _split_index(N: int) -> int:
-    """Least k with k^2 >= 2N."""
-    return math.isqrt(2 * N - 1) + 1
-
-
 def j_decomposition(params: Params) -> JDecomposition:
     """Exact J1..J6 terms of the second-moment rewrite, invariants checked.
 
@@ -415,19 +391,17 @@ def j_decomposition(params: Params) -> JDecomposition:
     C = normalization_C(params)
     J1 = alpha**N / (p * (1 - alpha))
     J2 = sum(
-        (
-            p ** (i - 1) * sum(stirling_row(i).coeffs[j] * N**j for j in range(i))
-            for i in range(1, N)
-        ),
+        (p ** (i - 1) * horner(stirling_row(i).coeffs[:i], N) for i in range(1, N)),
         start=Fraction(0),
     )
     J3 = -sum(
         (alpha**i * Fraction((i + 1) * (i + 2), 2) for i in range(N - 1)),
         start=Fraction(0),
     )
-    p_values = [poly_P(i)(N) for i in range(N - 2)]  # i = 0 .. N-3
+    # P_i(N): row i+2 without its two top coefficients, i = 0 .. N-3
+    p_values = [horner(stirling_row(i + 2).coeffs[: i + 1], N) for i in range(N - 2)]
     J4 = p * sum((p**i * v for i, v in enumerate(p_values)), start=Fraction(0))
-    kstar = _split_index(N)
+    kstar = split_index(N)
     J5 = p * sum(
         (p**i * v for i, v in enumerate(p_values) if i < kstar), start=Fraction(0)
     )

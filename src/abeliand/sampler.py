@@ -75,12 +75,6 @@ def epsilon_sequence(params: Params, uniforms) -> EpsilonTrace:
     return EpsilonTrace(params, tuple(us), tuple(eps), sum(eps))
 
 
-def sample_avalanche(params: Params, rng: np.random.Generator) -> int:
-    """One draw S in {0..N} from the given generator state."""
-    u = rng.random(params.N)
-    return epsilon_sequence(params, u.tolist()).S
-
-
 def substream(seed: int, k: int) -> np.random.Generator:
     """Generator for chunk k of a run seeded with ``seed`` (see module doc)."""
     if seed < 0:

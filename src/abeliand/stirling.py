@@ -57,10 +57,17 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x, Fraction(0))
+
+
+def horner(coeffs, x, acc=0):
+    """sum(c * x**j for j, c in enumerate(coeffs)) by Horner's rule.
+
+    ``acc`` is the starting value, so it is what empty ``coeffs`` give.
+    """
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 # Append-only row memo; _rows[i] holds the coefficients of (x-1)...(x-i).
@@ -154,11 +161,9 @@ def bound_f(i: int) -> int:
     return a + 2 * a * i + a * i * (i - 1) + 4
 
 
-def _eval_int(coeffs, x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+def split_index(N: int) -> int:
+    """Least k with k^2 >= 2N: where the i^2 >= 2N gates below switch."""
+    return math.isqrt(2 * N - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -210,7 +215,7 @@ def check_lemma_P(i: int, N: int) -> LemmaPCertificate:
     if N - 3 < i:
         raise ValueError(f"need N - 3 >= i, got i={i}, N={N}")
     row = stirling_row(i + 2).coeffs
-    p_at_N = _eval_int(row[: i + 1], N)
+    p_at_N = horner(row[: i + 1], N)
     falling_part = falling_factorial(N - 1, i + 2)
     h_part = N ** (i + 1) * ((i + 2) * (i + 3) // 2 - N)
     equality = p_at_N == falling_part + h_part

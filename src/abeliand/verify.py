@@ -21,6 +21,8 @@ from .stirling import (
     check_lemma_P,
     check_product_bound,
     falling_factorial,
+    horner,
+    split_index,
     stirling_row,
     unsigned_stirling,
     unsigned_stirling_subset_oracle,
@@ -49,19 +51,10 @@ class SuiteResult:
             self.failures.append(msg)
 
 
-def _eval_poly(coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def suite_stirling(max_i: int = 60, fault: str | None = None) -> SuiteResult:
+def suite_stirling(max_i: int = 60) -> SuiteResult:
     r = SuiteResult("stirling")
     for i in range(max_i + 1):
-        coeffs = list(stirling_row(i).coeffs)
-        if fault == "stirling-sign" and i == min(5, max_i):
-            coeffs[0] = -coeffs[0]  # test-only corruption of a local copy
+        coeffs = stirling_row(i).coeffs
         r.check(coeffs[i] == 1, f"diagonal entry != 1 in row {i}")
         if i >= 1:
             r.check(
@@ -76,13 +69,12 @@ def suite_stirling(max_i: int = 60, fault: str | None = None) -> SuiteResult:
             )
         for x in range(i + 2):
             r.check(
-                _eval_poly(coeffs, x) == falling_factorial(x - 1, i),
+                horner(coeffs, x) == falling_factorial(x - 1, i),
                 f"row {i} does not expand (x-1)_({i}) at x={x}",
             )
         for x in range(1, 11):
-            lhs = sum(abs(c) * x**j for j, c in enumerate(coeffs))
             r.check(
-                lhs == falling_factorial(x + i, i),
+                horner([abs(c) for c in coeffs], x) == falling_factorial(x + i, i),
                 f"unsigned row {i} does not expand (x+{i})_({i}) at x={x}",
             )
     for i in range(1, 13):
@@ -110,7 +102,7 @@ def suite_bounds() -> SuiteResult:
                     f"P sandwich fails at (i={i}, N={N})",
                 )
     for N in range(1, 201):
-        for i in range(math.isqrt(2 * N - 1) + 1):
+        for i in range(split_index(N)):
             cert = check_product_bound(i, N)
             r.check(
                 cert.holds,
@@ -330,15 +322,11 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     return r
 
 
-def run_suites(
-    names=None,
-    max_n: int = 25,
-    samples: int = 1_000_000,
-    seed: int = 42,
-    fault: str | None = None,
-) -> list[SuiteResult]:
-    runners = {
-        "stirling": lambda: suite_stirling(fault=fault),
+def _runners(max_n: int, samples: int, seed: int) -> dict:
+    # Suite name -> runner, in run order.  Built per call so each runner
+    # looks up its suite function when the run starts.
+    return {
+        "stirling": suite_stirling,
         "bounds": suite_bounds,
         "pmf": lambda: suite_pmf(max_n),
         "moments": lambda: suite_moments(max_n),
@@ -348,12 +336,21 @@ def run_suites(
         "limit": suite_limit,
         "sampler": lambda: suite_sampler(samples, seed),
     }
+
+
+SUITE_NAMES = tuple(_runners(0, 0, 0))
+
+
+def run_suites(
+    names=None,
+    max_n: int = 25,
+    samples: int = 1_000_000,
+    seed: int = 42,
+) -> list[SuiteResult]:
+    runners = _runners(max_n, samples, seed)
     if names is None:
-        names = list(runners)
+        names = SUITE_NAMES
     unknown = [n for n in names if n not in runners]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
     return [runners[n]() for n in names]
-
-
-SUITE_NAMES = ("stirling", "bounds", "pmf", "moments", "shift", "jdecomp", "float", "limit", "sampler")

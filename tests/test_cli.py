@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from abeliand import verify
 from abeliand.cli import main
+from abeliand.stirling import StirlingRow, stirling_row
 
 
 def run(capsys, *argv):
@@ -183,10 +185,15 @@ def test_verify_single_suite(capsys):
     assert lines[-1] == "all 1 suites passed"
 
 
-def test_verify_fault_injection_detected(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--suite", "stirling", "--inject-fault", "stirling-sign",
-    )
+def test_verify_fault_injection_detected(capsys, monkeypatch):
+    def corrupted_row(i):
+        row = stirling_row(i)
+        if i != 5:
+            return row
+        return StirlingRow(5, (-row.coeffs[0],) + row.coeffs[1:])
+
+    monkeypatch.setattr(verify, "stirling_row", corrupted_row)
+    code, out, _ = run(capsys, "verify", "--suite", "stirling")
     assert code == 1
     assert out.splitlines()[0].startswith("FAIL stirling")
 

@@ -9,7 +9,6 @@ from abeliand.sampler import (
     CHUNK,
     epsilon_sequence,
     monte_carlo,
-    sample_avalanche,
     substream,
 )
 
@@ -68,20 +67,6 @@ def test_trace_invariants_random_batches(seed):
         assert hits == trace.S
 
 
-def test_single_draw_matches_threshold_for_n1():
-    params = Params.stable(1, p=0.3)
-    draws = [sample_avalanche(params, substream(9, k)) for k in range(4000)]
-    assert set(draws) <= {0, 1}
-    assert sum(draws) / len(draws) == pytest.approx(0.3, abs=0.03)
-
-
-def test_single_draw_deterministic():
-    params = Params.stable(10, p=0.08)
-    a = sample_avalanche(params, substream(123, 0))
-    b = sample_avalanche(params, substream(123, 0))
-    assert a == b
-
-
 def test_monte_carlo_single_draw():
     stats = monte_carlo(Params.stable(5, p=0.1), 1, 42)
     assert stats.M == 1
@@ -133,10 +118,12 @@ def test_stats_definitions():
 
 
 def test_empirical_mean_near_lemma_value():
-    exact = Params.exact(2, p=Fraction(1, 4))
-    stats = monte_carlo(Params.stable(2, p=0.25), 200_000, 42)
-    assert abs(stats.empirical_mean - 0.625) <= 4 * stats.stderr_mean
-    assert float(avalanche_mean(exact)) == 0.625
+    # N=1 is a single threshold draw: S = 1 exactly when u >= 1 - p
+    for N, p, mean in ((2, Fraction(1, 4), 0.625), (1, Fraction(3, 10), 0.3)):
+        stats = monte_carlo(Params.stable(N, p=float(p)), 200_000, 42)
+        assert set(stats.empirical_pmf) <= set(range(N + 1))
+        assert abs(stats.empirical_mean - mean) <= 4 * stats.stderr_mean
+        assert float(avalanche_mean(Params.exact(N, p=p))) == mean
 
 
 def test_distribution_close_to_exact_table():
