@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from abeliand.dist import (
     j_decomposition,
     moments,
     normalization_C,
+    pmf,
     pmf_table,
     shifted_pmf,
     support,
@@ -256,7 +258,7 @@ class TestFloatPath:
         for family in FAMILIES:
             table = pmf_table(family, Params.stable(1000, alpha=0.5))
             assert abs(math.fsum(table.probs_float) - 1.0) < 1e-10
-            assert len(table.logprobs) == len(table.support)
+            assert len(table.probs_float) == len(table.support)
 
     def test_variance_matches_exact(self):
         for N in (2, 17, 200, 1000):
@@ -482,3 +484,112 @@ def test_float_moments_bit_identical(N, alpha):
     m = abelian_variance(params)
     got = (avalanche_mean(params).hex(), m.second_moment.hex(), m.variance.hex())
     assert got == FLOAT_PINS[N, alpha]
+
+
+# sha256 of ",".join(q.hex() for q in probs_float) for each float table.
+# Every term expression, its addition order and the exp of each log term
+# show up in these bits.
+TABLE_PINS = {
+    ("abelian", 1, 1e-07):
+        "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
+    ("abelian", 1, 0.5):
+        "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
+    ("abelian", 1, 0.99):
+        "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
+    ("abelian", 2, 1e-07):
+        "01f2e58fd46958dcbafb8bdf6601b38f3d6a15ae7321c02958e45beb13f97ec3",
+    ("abelian", 2, 0.5):
+        "ec735362e586136b8de8741958ec98e95285520487b22a3169b09b6808a951d0",
+    ("abelian", 2, 0.99):
+        "dca9bf3dbf34126f9bc0067bf22146cc674074a44e0d0b7bbd80fc1b9b1c1f9f",
+    ("abelian", 10, 1e-07):
+        "3ae5e0963eec02bc1e2460f4d6353e8148ea784a01f708a2cbb524ecd947fde5",
+    ("abelian", 10, 0.5):
+        "1a9fabe8138a7f9557c22a5428da7cf9f0522199c0277264b3d77c7bed563bba",
+    ("abelian", 10, 0.99):
+        "422f42038d59d7c88acd844e1099bbaf7bde5c431f3eff9aa54f86b57e5e59d5",
+    ("abelian", 1000, 1e-07):
+        "04319cc13175ae861cb96106b797b3c983c9b43129d96f6d2e0a25c1c9347646",
+    ("abelian", 1000, 0.5):
+        "3774e8567fb528e5557196b0cfd6f7f1a9966a9d34363853db3660c3b3aae3f5",
+    ("abelian", 1000, 0.99):
+        "fbfd98af956aff93afcd03806df87d7c87555fd9e0c788148e820c0588f182c9",
+    ("avalanche", 1, 1e-07):
+        "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
+    ("avalanche", 1, 0.5):
+        "19210efe34eaa7fe2b696960cb5d41bb23c8edc7bc8a83164626808b416a5237",
+    ("avalanche", 1, 0.99):
+        "c41ae0f47884b5d41306f10deef68bf289b9424340161318fd09ad04c371b7ae",
+    ("avalanche", 2, 1e-07):
+        "8f4f020ad63330bb02ff2531c940ee6bf0a8f31790ac89a184889381962bec96",
+    ("avalanche", 2, 0.5):
+        "8db5c391901178fd954aac43bf9426baebd40ed8623dce3c43b14158a4bc9dd2",
+    ("avalanche", 2, 0.99):
+        "344d2e74f3a26fe9366f80e5d1dc7f069ad9c0d2e3754ed4fbd5f3f3eab2cab4",
+    ("avalanche", 10, 1e-07):
+        "7d868ddd747ef93adbd87726052b1c33b4e5796560946be798e9e7abb1dd6e83",
+    ("avalanche", 10, 0.5):
+        "345aecffefc722ef70e6b6fa9549dcda88d108f703a9f10bbcd7f8d3a580fe44",
+    ("avalanche", 10, 0.99):
+        "8026fa4e6a8db7c9dedd3e381c217b007ff127fa6cff3dbda5e51469ef891d05",
+    ("avalanche", 1000, 1e-07):
+        "5eb7e6d2fb8934bcd18bce7000a3cd054438323065971780239c19fae7d33cf3",
+    ("avalanche", 1000, 0.5):
+        "54defba2894d6f5aeb22000a7d64334b0ef3f3e37e437b926951f972ddcbd7dc",
+    ("avalanche", 1000, 0.99):
+        "a2b59f400899da9bcf2406c794e32cf2b878f09bb4e3fd84506bebf0f37dcb2b",
+    ("shifted", 1, 1e-07):
+        "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
+    ("shifted", 1, 0.5):
+        "19210efe34eaa7fe2b696960cb5d41bb23c8edc7bc8a83164626808b416a5237",
+    ("shifted", 1, 0.99):
+        "c41ae0f47884b5d41306f10deef68bf289b9424340161318fd09ad04c371b7ae",
+    ("shifted", 2, 1e-07):
+        "8f4f020ad63330bb02ff2531c940ee6bf0a8f31790ac89a184889381962bec96",
+    ("shifted", 2, 0.5):
+        "8db5c391901178fd954aac43bf9426baebd40ed8623dce3c43b14158a4bc9dd2",
+    ("shifted", 2, 0.99):
+        "344d2e74f3a26fe9366f80e5d1dc7f069ad9c0d2e3754ed4fbd5f3f3eab2cab4",
+    ("shifted", 10, 1e-07):
+        "7d868ddd747ef93adbd87726052b1c33b4e5796560946be798e9e7abb1dd6e83",
+    ("shifted", 10, 0.5):
+        "345aecffefc722ef70e6b6fa9549dcda88d108f703a9f10bbcd7f8d3a580fe44",
+    ("shifted", 10, 0.99):
+        "8026fa4e6a8db7c9dedd3e381c217b007ff127fa6cff3dbda5e51469ef891d05",
+    ("shifted", 1000, 1e-07):
+        "5eb7e6d2fb8934bcd18bce7000a3cd054438323065971780239c19fae7d33cf3",
+    ("shifted", 1000, 0.5):
+        "54defba2894d6f5aeb22000a7d64334b0ef3f3e37e437b926951f972ddcbd7dc",
+    ("shifted", 1000, 0.99):
+        "a2b59f400899da9bcf2406c794e32cf2b878f09bb4e3fd84506bebf0f37dcb2b",
+}
+
+
+@pytest.mark.parametrize(("family", "N", "alpha"), list(TABLE_PINS))
+def test_float_tables_bit_identical(family, N, alpha):
+    table = pmf_table(family, Params.stable(N, alpha=alpha))
+    text = ",".join(q.hex() for q in table.probs_float)
+    assert hashlib.sha256(text.encode()).hexdigest() == TABLE_PINS[family, N, alpha]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize(
+    "params",
+    [
+        Params.exact(1, alpha=Fraction(1, 2)),
+        Params.exact(7, alpha=Fraction(9, 10)),
+        Params.stable(1, alpha=0.5),
+        Params.stable(50, alpha=0.3),
+    ],
+    ids=["exact-1", "exact-7", "float-1", "float-50"],
+)
+def test_scalar_pmf_matches_table_and_support(family, params):
+    table = pmf_table(family, params)
+    probs = table.probs_exact if params.is_exact else table.probs_float
+    assert len(probs) == len(table.support)
+    for b, q in zip(table.support, probs):
+        assert pmf(family, params, b) == q
+    sup = support(family, params.N)
+    for b in (sup.start - 1, sup.stop):
+        with pytest.raises(ValueError):
+            pmf(family, params, b)
