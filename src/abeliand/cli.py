@@ -37,16 +37,15 @@ def _parse_ratio(text: str) -> Fraction:
     return value
 
 
-def _build_params(args, mode: str) -> tuple[Params, Fraction | None, Fraction | None]:
-    """Returns params plus the exact alpha/p the user supplied."""
+def _build_params(args, mode: str) -> Params:
+    """Params in ``mode``; the exact input is checked first in either mode."""
     alpha = _parse_ratio(args.alpha) if args.alpha is not None else None
     p = _parse_ratio(args.p) if args.p is not None else None
-    make = Params.exact if mode == "exact" else Params.stable
     try:
-        params = make(args.N, p=p, alpha=alpha)
+        exact = Params.exact(args.N, p=p, alpha=alpha)
+        return exact if mode == "exact" else Params.stable(args.N, p=p, alpha=alpha)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return params, alpha, p
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -84,7 +83,7 @@ def _emit_table(args, columns, rows) -> None:
 
 
 def run_pmf(args) -> int:
-    params, _, _ = _build_params(args, args.mode)
+    params = _build_params(args, args.mode)
     table = dist.pmf_table(args.family, params)
     if params.is_exact:
         columns = ["b", "prob_num", "prob_den"]
@@ -100,7 +99,7 @@ def run_pmf(args) -> int:
 
 
 def run_moments(args) -> int:
-    params, alpha, _ = _build_params(args, args.mode)
+    params = _build_params(args, args.mode)
     try:
         m = dist.moments(args.family, params)
     except ValueError as exc:
@@ -135,12 +134,12 @@ def run_limit(args) -> int:
 
 
 def run_sample(args) -> int:
-    params, alpha, p = _build_params(args, "float")
+    exact = _build_params(args, "exact")
+    params = _build_params(args, "float")
     seed = _resolve_seed(args.seed)
     if args.M < 1:
         raise UsageError("M must be >= 1")
     stats = sampler.monte_carlo(params, args.M, seed)
-    exact = Params.exact(args.N, p=p, alpha=alpha)
     payload = {
         "family": "avalanche",
         "N": args.N,

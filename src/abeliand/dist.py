@@ -3,7 +3,8 @@
 Two evaluation modes share one API.  Exact mode works in
 ``fractions.Fraction`` throughout, so normalization, moment identities and
 the J-term rewrite of the second moment can be asserted with equality.
-Float mode evaluates PMFs in log space (log-gamma binomials, log1p).
+Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and
+keeps only their exponentials.  One term table serves pmf and pmf_table.
 
 Both modes take E(X) and the second-moment bracket from one running
 product of the falling-power terms (n)_i p^i.  Float mode sums the bracket
@@ -97,7 +98,6 @@ class PmfTable:
     support: tuple[int, ...]
     probs_exact: tuple[Fraction, ...] | None
     probs_float: tuple[float, ...] | None
-    logprobs: tuple[float, ...] | None
 
 
 @dataclass(frozen=True)
@@ -151,58 +151,14 @@ def normalization_C(params: Params) -> Number:
     return (1 - N * p) / (1 - (N - 1) * p)
 
 
-def _log_C(N: int, p: float) -> float:
-    return math.log1p(-N * p) - math.log1p(-(N - 1) * p)
-
-
 def _log_binom(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def abelian_logpmf(params: Params, b: int) -> float:
-    """Log of the Abelian PMF, assembled factor by factor in log space.
-
-    Every base is positive on the support: 1 - b*p >= 1 - N*p > 0.  The
-    b = N term carries exponent N-b-1 = -1 and b = 1 contributes
-    (b-2)*log(b) = 0, both handled by plain arithmetic here.
-    """
-    N, p = params.N, float(params.p)
-    if not 1 <= b <= N:
-        raise ValueError(f"b={b} outside Abelian support 1..{N}")
-    return (
-        _log_C(N, p)
-        + _log_binom(N - 1, b - 1)
-        + (b - 1) * math.log(p)
-        + (N - b - 1) * math.log1p(-b * p)
-        + (b - 2) * math.log(b)
-    )
-
-
-def avalanche_logpmf(params: Params, b: int) -> float:
-    """Log of the Avalanche PMF.
-
-    The factor (1 - (b+1)*p)^(N-b) is skipped when its exponent is zero
-    (b = N), where its base may be <= 0 but the factor is 1 by convention.
-    """
-    N, p = params.N, float(params.p)
-    if not 0 <= b <= N:
-        raise ValueError(f"b={b} outside Avalanche support 0..{N}")
-    lp = _log_binom(N, b) + b * math.log(p) + (b - 1) * math.log(b + 1)
-    if b < N:
-        lp += (N - b) * math.log1p(-(b + 1) * p)
-    return lp
-
-
-def abelian_pmf(params: Params, b: int) -> Number:
-    """P(Z = b) = C * binom(N-1,b-1) * p^(b-1) * (1-bp)^(N-b-1) * b^(b-2)."""
-    N = params.N
-    if not 1 <= b <= N:
-        raise ValueError(f"b={b} outside Abelian support 1..{N}")
-    if not params.is_exact:
-        return math.exp(abelian_logpmf(params, b))
-    p = params.p
-    return (
-        normalization_C(params)
+def _abelian_term(params: Params):
+    N, p, C = params.N, params.p, normalization_C(params)
+    return lambda b: (
+        C
         * math.comb(N - 1, b - 1)
         * p ** (b - 1)
         * (1 - b * p) ** (N - b - 1)
@@ -210,15 +166,28 @@ def abelian_pmf(params: Params, b: int) -> Number:
     )
 
 
-def avalanche_pmf(params: Params, b: int) -> Number:
-    """P(X = b) = binom(N,b) * p^b * (1-(b+1)p)^(N-b) * (b+1)^(b-1)."""
-    N = params.N
-    if not 0 <= b <= N:
-        raise ValueError(f"b={b} outside Avalanche support 0..{N}")
-    if not params.is_exact:
-        return math.exp(avalanche_logpmf(params, b))
-    p = params.p
-    return (
+def _abelian_log_term(params: Params):
+    """b -> log of the Abelian PMF, assembled factor by factor in log space.
+
+    Every base is positive on the support: 1 - b*p >= 1 - N*p > 0.  The
+    b = N term carries exponent N-b-1 = -1 and b = 1 contributes
+    (b-2)*log(b) = 0, both handled by plain arithmetic here.
+    """
+    N, p = params.N, params.p
+    log_C = math.log1p(-N * p) - math.log1p(-(N - 1) * p)
+    log_p = math.log(p)
+    return lambda b: (
+        log_C
+        + _log_binom(N - 1, b - 1)
+        + (b - 1) * log_p
+        + (N - b - 1) * math.log1p(-b * p)
+        + (b - 2) * math.log(b)
+    )
+
+
+def _avalanche_term(params: Params):
+    N, p = params.N, params.p
+    return lambda b: (
         math.comb(N, b)
         * p**b
         * (1 - (b + 1) * p) ** (N - b)
@@ -226,36 +195,70 @@ def avalanche_pmf(params: Params, b: int) -> Number:
     )
 
 
-def shifted_pmf(params: Params, b: int) -> Number:
-    """P(Y = b) = P(X = b-1) on the shifted support 1..N+1."""
-    if not 1 <= b <= params.N + 1:
-        raise ValueError(f"b={b} outside shifted support 1..{params.N + 1}")
-    return avalanche_pmf(params, b - 1)
+def _avalanche_log_term(params: Params):
+    """b -> log of the Avalanche PMF.
+
+    The factor (1 - (b+1)*p)^(N-b) is skipped when its exponent is zero
+    (b = N), where its base may be <= 0 but the factor is 1 by convention.
+    """
+    N, p = params.N, params.p
+    log_p = math.log(p)
+
+    def term(b):
+        lp = _log_binom(N, b) + b * log_p + (b - 1) * math.log(b + 1)
+        if b < N:
+            lp += (N - b) * math.log1p(-(b + 1) * p)
+        return lp
+
+    return term
 
 
-_PMF = {"abelian": abelian_pmf, "avalanche": avalanche_pmf, "shifted": shifted_pmf}
-_LOGPMF = {"abelian": abelian_logpmf, "avalanche": avalanche_logpmf}
+# family -> (exact term, log term, shift): P(family = b) is term(params) at
+# b - shift, for b in support(family, N) only.
+_TERMS = {
+    "abelian": (_abelian_term, _abelian_log_term, 0),
+    "avalanche": (_avalanche_term, _avalanche_log_term, 0),
+    "shifted": (_avalanche_term, _avalanche_log_term, 1),
+}
 
 
 def pmf(family: str, params: Params, b: int) -> Number:
-    try:
-        f = _PMF[family]
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}") from None
-    return f(params, b)
+    """P(family = b): the exact term, or exp of the log term in float mode."""
+    sup = support(family, params.N)
+    if b not in sup:
+        raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
+    exact_term, log_term, shift = _TERMS[family]
+    if params.is_exact:
+        return exact_term(params)(b - shift)
+    return math.exp(log_term(params)(b - shift))
+
+
+def abelian_pmf(params: Params, b: int) -> Number:
+    """P(Z = b) = C * binom(N-1,b-1) * p^(b-1) * (1-bp)^(N-b-1) * b^(b-2)."""
+    return pmf("abelian", params, b)
+
+
+def avalanche_pmf(params: Params, b: int) -> Number:
+    """P(X = b) = binom(N,b) * p^b * (1-(b+1)p)^(N-b) * (b+1)^(b-1)."""
+    return pmf("avalanche", params, b)
+
+
+def shifted_pmf(params: Params, b: int) -> Number:
+    """P(Y = b) = P(X = b-1) on the shifted support 1..N+1."""
+    return pmf("shifted", params, b)
 
 
 def pmf_table(family: str, params: Params) -> PmfTable:
-    """Whole-support table; exact probabilities or (logprob, prob) pairs."""
-    sup = tuple(support(family, params.N))
+    """Whole-support table of exact or float probabilities."""
+    sup = support(family, params.N)
+    exact_term, log_term, shift = _TERMS[family]
     if params.is_exact:
-        probs = tuple(pmf(family, params, b) for b in sup)
-        return PmfTable(family, params, sup, probs, None, None)
-    if family == "shifted":
-        logs = tuple(avalanche_logpmf(params, b - 1) for b in sup)
-    else:
-        logs = tuple(_LOGPMF[family](params, b) for b in sup)
-    return PmfTable(family, params, sup, None, tuple(map(math.exp, logs)), logs)
+        term = exact_term(params)
+        probs = tuple(term(b - shift) for b in sup)
+        return PmfTable(family, params, tuple(sup), probs, None)
+    term = log_term(params)
+    probs = tuple(map(math.exp, (term(b - shift) for b in sup)))
+    return PmfTable(family, params, tuple(sup), None, probs)
 
 
 def abelian_mean(params: Params) -> Number:
@@ -340,36 +343,26 @@ def abelian_variance(params: Params) -> Moments:
 
 
 def brute_force_moment(family: str, params: Params, k: int) -> Number:
-    """k-th raw moment by direct summation over the whole support.
+    """k-th raw moment by direct summation over the whole ``pmf_table``.
 
     The exact-mode oracle for every closed form; cost-guarded to N <= 30.
-    Float mode sums the log-space PMF instead and carries no guard.
+    Float mode sums the float table instead and carries no guard.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if params.is_exact:
-        if params.N > _BRUTE_FORCE_N_MAX:
-            raise ValueError(
-                f"exact brute force guarded to N <= {_BRUTE_FORCE_N_MAX}"
-            )
-        return sum(
-            (Fraction(b) ** k * pmf(family, params, b) for b in support(family, params.N)),
-            start=Fraction(0),
-        )
+    exact = params.is_exact
+    if exact and params.N > _BRUTE_FORCE_N_MAX:
+        raise ValueError(f"exact brute force guarded to N <= {_BRUTE_FORCE_N_MAX}")
     table = pmf_table(family, params)
-    return math.fsum(
-        float(b) ** k * q for b, q in zip(table.support, table.probs_float)
-    )
+    number = Fraction if exact else float
+    probs = table.probs_exact if exact else table.probs_float
+    return _total((number(b) ** k * q for b, q in zip(table.support, probs)), exact)
 
 
 def moments(family: str, params: Params) -> Moments:
     """Moments for any family: closed forms for Abelian, summation otherwise."""
     if family == "abelian":
         return abelian_variance(params)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     m1 = brute_force_moment(family, params, 1)
     m2 = brute_force_moment(family, params, 2)
     return Moments(m1, m2, m2 - m1 * m1, params.mode)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from scipy import stats as scipy_stats
-
 from . import dist, sampler
 from .dist import Params
 from .stirling import (
@@ -282,6 +280,9 @@ def total_variation(counts: dict[int, int], M: int, table: dist.PmfTable) -> flo
 
 
 def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
+    # Imported on first use, so importing verify (and the CLI) skips scipy.
+    from scipy import stats as scipy_stats
+
     r = SuiteResult("sampler")
     small = sampler.monte_carlo(Params.stable(4, p=0.2), 2000, seed)
     again = sampler.monte_carlo(Params.stable(4, p=0.2), 2000, seed)

@@ -1,8 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from abeliand import verify
+from abeliand import cli, verify
 from abeliand.cli import main
 from abeliand.stirling import StirlingRow, stirling_row
 
@@ -72,6 +76,23 @@ def test_pmf_rejects_bad_alpha(capsys):
     assert code == 2
     assert out == ""
     assert err.strip().startswith("abeliand: error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("pmf", "--family", "abelian", "--mode", "float"), ("sample", "--M", "300000")],
+    ids=["pmf", "sample"],
+)
+def test_float_commands_check_the_exact_input(capsys, monkeypatch, argv):
+    # 49 * float(1/49) < 1, so only the exact check sees that p = 1/N.
+    def no_sampling(*args):
+        raise AssertionError("monte_carlo called on refused input")
+
+    monkeypatch.setattr(cli.sampler, "monte_carlo", no_sampling)
+    code, out, err = run(capsys, *argv, "--N", "49", "--p", "1/49")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("abeliand: error:")
 
 
 def test_pmf_rejects_unparseable_ratio(capsys):
@@ -175,6 +196,19 @@ def test_seed_env_var_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("ABELIAND_SEED", "not-an-int")
     code, _, err = run(capsys, *args)
     assert code == 2 and "ABELIAND_SEED" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = "import sys, abeliand.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_verify_single_suite(capsys):
