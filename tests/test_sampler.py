@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -143,3 +144,24 @@ def test_monte_carlo_rejects_bad_args():
         monte_carlo(params, 0, 42)
     with pytest.raises(ValueError):
         substream(-1, 0)
+
+
+# sha256 of the monte_carlo count vector (comma-joined counts for b = 0..N)
+# for a fixed table of (N, alpha, M, seed): pins the stream contract, so a
+# kernel rewrite has to reproduce every draw bit for bit.
+STREAM_DIGESTS = [
+    (1, 0.3, 20_000, 1, "dc26688c49a4244728b0c54dd00fd0948e5b4653500deace30c76f675495f124"),
+    (2, 0.5, 20_000, 2, "36399ae9d088c7a7195eb23a289aa819886f177b90b04a9764a2bb41f68d35af"),
+    (3, 0.6, CHUNK + 77, 5, "575564c9725e33fe32a829546062fa8e86418f67196b93adcc1f314ba11e5324"),
+    (20, 1e-7, 20_000, 3, "dc54fad7daabface143a565bf5008d632fdce160e00541b656eabce34068600d"),
+    (20, 0.999999, 20_000, 4, "ecce84639584a603838186b3c0a4f0f03a076e3b466a690178d5ea2f4a79d69c"),
+    (100, 0.99, 4096, 7, "c62402bb22b7da074f8b4ca7cb739e943685d14a1123b84e46245ee12aadbb29"),
+    (1000, 0.9, 2048, 42, "41dfd4ef64860e685108bf34af63175ae1daffce1a9ddf29db9f1772fca09731"),
+]
+
+
+@pytest.mark.parametrize("N, alpha, M, seed, digest", STREAM_DIGESTS)
+def test_count_vector_digests(N, alpha, M, seed, digest):
+    stats = monte_carlo(Params.stable(N, alpha=alpha), M, seed)
+    counts = ",".join(str(stats.empirical_pmf.get(b, 0)) for b in range(N + 1))
+    assert hashlib.sha256(counts.encode()).hexdigest() == digest
