@@ -9,9 +9,12 @@ is empty.  S = eps_1 + ... + eps_N is a draw from the Avalanche family.
 
 Stream-derivation rule (the reproducibility contract): a run with seed s is
 split into fixed chunks of CHUNK = 65536 draws, and chunk k uses numpy's
-PCG64 bit generator seeded with SeedSequence(s, spawn_key=(k,)), drawing
-its uniforms as one (m, N) matrix.  Results therefore depend only on
-(params, M, seed), regardless of how chunks are scheduled or merged.
+PCG64 bit generator seeded with SeedSequence(s, spawn_key=(k,)); the chunk's
+m*N uniforms are read in row-major order, draw i taking uniforms i*N ..
+i*N + N - 1.  Results therefore depend only on (params, M, seed), regardless
+of how chunks are scheduled or merged.  The kernel reads each chunk in row
+blocks of about BLOCK uniforms, so its memory is bounded per block, not per
+chunk.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ import numpy as np
 from .dist import Params
 
 CHUNK = 1 << 16
+BLOCK = 1 << 16  # uniforms per row block of _draw_chunk (one row if N is larger)
+# From this p up, the thresholds' rounding error (a few 2^-53) is under
+# 2^-10 of a step, so _draw_chunk can guess g; below it, g is searched.
+_GUESS_MIN_P = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -83,24 +90,44 @@ def substream(seed: int, k: int) -> np.random.Generator:
 
 
 def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
-    # Vectorized copy of epsilon_sequence across m draws: same float
-    # arithmetic, same half-open comparisons, one (m, N) uniform matrix.
+    # First-passage form of epsilon_sequence on the same floats.  With
+    # t_j = 1.0 - p*j (the loop's thresholds), g(u) the least j >= 1 with
+    # u >= t_j and F(x) = #{g <= x}, step k counts the uniforms with
+    # c_{k-2} < g <= c_{k-1}, so c_k = 1 + F(c_{k-1}).  The c_k climb to the
+    # least x >= 1 with F(x) < x, where F(x) = x - 1, so S = x - 1: one
+    # histogram of g and one cumsum per row.  g = N + 1 stands for "no
+    # j <= N"; F(N + 1) = N < N + 1 then ends every row.
+    # g is guessed as ceil((1 - u)/p - 1/2): the rounding errors of t_j and
+    # of the quotient are a few 2^-53, far below half a step p, so the guess
+    # is g or g - 1, and one check u < t_g (the loop's own comparison) lifts
+    # it where needed.  A row with no uniform in [t_1, 1) has F(1) = 0 and
+    # S = 0, so only the other rows are histogrammed.
     N = params.N
     p = float(params.p)
-    u = rng.random((m, N))
-    c_prev = np.zeros(m)
-    c_curr = np.ones(m)
-    total = np.zeros(m, dtype=np.int64)
-    for _ in range(N):
-        lo = 1.0 - p * c_curr
-        hi = 1.0 - p * c_prev
-        e = ((u >= lo[:, None]) & (u < hi[:, None])).sum(axis=1)
-        total += e
-        c_prev = c_curr
-        c_curr = c_curr + e
-        if not e.any():
-            break
-    return total
+    t = 1.0 - p * np.arange(N + 1)
+    rows = max(1, BLOCK // N)
+    width = N + 2
+    steps = np.arange(1, N + 2)
+    s = np.zeros(m, dtype=np.int64)
+    for start in range(0, m, rows):
+        u = rng.random((min(rows, m - start), N))
+        hit = np.flatnonzero(u.max(axis=1) >= t[1])
+        u = u[hit]
+        r = len(hit)
+        if p < _GUESS_MIN_P:
+            g = np.searchsorted(-t, -u)
+        else:
+            x = 1.0 - u
+            x /= p
+            x -= 0.5
+            np.ceil(x, out=x)
+            g = np.clip(x, 1, N, out=x).astype(np.intp)
+            g += u < t.take(g)
+        g += np.arange(0, r * width, width)[:, None]
+        F = np.bincount(g.ravel(), minlength=r * width).reshape(r, width)
+        np.cumsum(F, axis=1, out=F)
+        s[start + hit] = (F[:, 1:] < steps).argmax(axis=1)
+    return s
 
 
 def monte_carlo(params: Params, M: int, seed: int) -> SampleStats:
@@ -122,11 +149,12 @@ def monte_carlo(params: Params, M: int, seed: int) -> SampleStats:
         counts += np.bincount(s, minlength=N + 1)
         done += m
         k += 1
-    values = np.arange(N + 1, dtype=np.int64)
-    total = int((values * counts).sum())
-    total_sq = int((values * values * counts).sum())
+    seen = np.flatnonzero(counts)
+    pmf = dict(zip(seen.tolist(), counts[seen].tolist()))
+    # Python ints: an int64 sum of b*b*count would wrap past ~9.2e18.
+    total = sum(b * c for b, c in pmf.items())
+    total_sq = sum(b * b * c for b, c in pmf.items())
     mean = total / M
     variance = total_sq / M - mean * mean
     stderr = math.sqrt(max(variance, 0.0) / M)
-    pmf = {int(b): int(c) for b, c in enumerate(counts) if c}
     return SampleStats(M, seed, mean, variance, pmf, stderr)

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from abeliand import sampler
 from abeliand.dist import Params, avalanche_mean, pmf_table
 from abeliand.sampler import (
     CHUNK,
@@ -87,8 +90,8 @@ def test_monte_carlo_deterministic_and_exact_counts():
 
 
 def test_chunked_path_matches_reference_trace():
-    # pins the documented substream rule: chunk 0 draws an (M, N) matrix
-    # from PCG64 seeded with SeedSequence(seed, spawn_key=(0,))
+    # pins the documented substream rule: chunk 0 reads its M*N uniforms in
+    # row-major order from PCG64 seeded with SeedSequence(seed, spawn_key=(0,))
     params = Params.stable(6, p=0.11)
     M, seed = 400, 2024
     stats = monte_carlo(params, M, seed)
@@ -165,3 +168,83 @@ def test_count_vector_digests(N, alpha, M, seed, digest):
     stats = monte_carlo(Params.stable(N, alpha=alpha), M, seed)
     counts = ",".join(str(stats.empirical_pmf.get(b, 0)) for b in range(N + 1))
     assert hashlib.sha256(counts.encode()).hexdigest() == digest
+
+
+class _RowFeed:
+    """Stub generator: hands out crafted rows, records each request size."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=float)
+        self.used = 0
+        self.sizes = []
+
+    def random(self, shape):
+        r, n = shape
+        self.sizes.append(r * n)
+        out = self.rows[self.used : self.used + r]
+        self.used += r
+        assert out.shape == (r, n)
+        return out.copy()
+
+
+def _edge_rows(params, count, seed):
+    """Rows built from the loop's thresholds, their float neighbours and 0."""
+    N = params.N
+    t = 1.0 - float(params.p) * np.arange(N + 2)
+    pool = np.concatenate([t, np.nextafter(t, 2.0), np.nextafter(t, -1.0), [0.0]])
+    pool = np.unique(pool[(pool >= 0.0) & (pool < 1.0)])
+    rng = np.random.default_rng(seed)
+    rows = [t[1 : N + 1], np.nextafter(t[1 : N + 1], -1.0), np.nextafter(t[1 : N + 1], 2.0)]
+    rows += [rng.choice(pool, N) for _ in range(count)]
+    return [np.clip(row, 0.0, np.nextafter(1.0, 0.0)) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "N, p",
+    [
+        (1, 0.3),
+        (2, 0.45),
+        (7, 0.11),
+        (7, 6e-17),  # thresholds closer than their rounding error
+        (30, 3e-16),
+        (7, 2.0**-40),
+        (40, 0.999999 / 40),
+        (40, 1e-7 / 40),
+        (200, 0.9 / 200),
+    ],
+)
+def test_draw_chunk_on_threshold_edges(monkeypatch, N, p):
+    monkeypatch.setattr(sampler, "BLOCK", 64)
+    params = Params.stable(N, p=p)
+    rows = _edge_rows(params, 150, seed=N)
+    feed = _RowFeed(rows)
+    s = sampler._draw_chunk(params, feed, len(rows))
+    assert s.tolist() == [epsilon_sequence(params, row).S for row in rows]
+    assert feed.used == len(rows)
+    # the memory bound: no request exceeds one block (one row if N is larger)
+    assert max(feed.sizes) <= max(64, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 60),
+    log_alpha=st.floats(math.log(1e-7), math.log(0.999999)),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 300),
+)
+def test_draw_chunk_matches_reference_trace(N, log_alpha, seed, m):
+    params = Params.stable(N, alpha=min(math.exp(log_alpha), 0.999999))
+    s = sampler._draw_chunk(params, substream(seed, 0), m)
+    rows = substream(seed, 0).random((m, N))
+    assert s.tolist() == [epsilon_sequence(params, row).S for row in rows]
+
+
+def test_moment_sums_do_not_wrap(monkeypatch):
+    # every draw at b = N = 2^22 over M = 2^19 draws: sum b^2 * count is
+    # 2^63, one past the int64 range
+    N, M = 1 << 22, 1 << 19
+    monkeypatch.setattr(sampler, "_draw_chunk", lambda params, rng, m: np.full(m, N))
+    stats = monte_carlo(Params.stable(N, alpha=0.5), M, 0)
+    assert stats.empirical_pmf == {N: M}
+    assert stats.empirical_mean == N
+    assert stats.empirical_variance == 0.0
