@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -234,7 +235,10 @@ def test_draw_chunk_on_threshold_edges(monkeypatch, N, p):
 )
 def test_draw_chunk_matches_reference_trace(N, log_alpha, seed, m):
     params = Params.stable(N, alpha=min(math.exp(log_alpha), 0.999999))
-    s = sampler._draw_chunk(params, substream(seed, 0), m)
+    # 64-uniform blocks: every example reads its chunk in several blocks,
+    # which must join up into the one (m, N) row-major read below
+    with mock.patch.object(sampler, "BLOCK", 64):
+        s = sampler._draw_chunk(params, substream(seed, 0), m)
     rows = substream(seed, 0).random((m, N))
     assert s.tolist() == [epsilon_sequence(params, row).S for row in rows]
 
