@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -54,6 +55,35 @@ def test_pmf_float_mode_normalizes(capsys):
     assert len(rows) == 500
     total = sum(float(r.split(",")[1]) for r in rows)
     assert abs(total - 1.0) < 1e-10
+
+
+# sha256 of `pmf --mode float` stdout at N=3000, alpha=0.9: the float bits
+# and their CSV/JSON formatting.
+FLOAT_PMF_DIGESTS = {
+    ("abelian", "csv"):
+        "56bcc6a9b90680b0845a8c0a786a0f4e3b9d03c0b008879cb3a21276af305998",
+    ("abelian", "json"):
+        "f8aaf057fc41dd890d71f40835d69188b4ad75d2b38aa3ffaf3f92e15a361028",
+    ("avalanche", "csv"):
+        "6e1cd6afc2d0897fb5ff0c08ef8bcc30a2938adba1090c5c2c8054abc0df71ec",
+    ("avalanche", "json"):
+        "f50da17a1e71879e8d234509931a6a04fa5d512f5c1535a2725f51b9542da110",
+    ("shifted", "csv"):
+        "0e09f9fc5f62c66e7964d416007065616311167834f3cab638795833173408bb",
+    ("shifted", "json"):
+        "e473fbc6991318a4766385602081195266309fbfa916c827b9f3de3d7fd95f84",
+}
+
+
+@pytest.mark.parametrize(("family", "output"), list(FLOAT_PMF_DIGESTS))
+def test_pmf_float_output_bytes(capsys, family, output):
+    code, out, err = run(
+        capsys, "pmf", "--family", family, "--N", "3000", "--alpha", "0.9",
+        "--mode", "float", "--output", output,
+    )
+    assert code == 0 and err == ""
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == FLOAT_PMF_DIGESTS[family, output]
 
 
 def test_pmf_json_output(capsys):

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abeliand import dist
 from abeliand.dist import (
@@ -514,6 +516,12 @@ TABLE_PINS = {
         "3774e8567fb528e5557196b0cfd6f7f1a9966a9d34363853db3660c3b3aae3f5",
     ("abelian", 1000, 0.99):
         "fbfd98af956aff93afcd03806df87d7c87555fd9e0c788148e820c0588f182c9",
+    ("abelian", 65535, 0.5):
+        "262709a5922619dd75dd4644b17e8fd82b549fd6e071f9181d8f282dc2af7a62",
+    ("abelian", 65536, 0.5):
+        "2c3cc35baba7c8a21f6d28429140a6cef71ab1807b79adcbaf1a2f043408e0b9",
+    ("abelian", 65537, 0.5):
+        "c9f38c30c9707195066eb323a259da2c48dd2ff4fcb18f4ea8766cf2138305c3",
     ("avalanche", 1, 1e-07):
         "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
     ("avalanche", 1, 0.5):
@@ -538,6 +546,12 @@ TABLE_PINS = {
         "54defba2894d6f5aeb22000a7d64334b0ef3f3e37e437b926951f972ddcbd7dc",
     ("avalanche", 1000, 0.99):
         "a2b59f400899da9bcf2406c794e32cf2b878f09bb4e3fd84506bebf0f37dcb2b",
+    ("avalanche", 65535, 0.5):
+        "09ad3853ebc18af91e8ecd5907f2e0c8c3f25956937f179006fb5073678ea3f1",
+    ("avalanche", 65536, 0.5):
+        "71dd4d53bf4962b91cbb4a7a1757ddf8d45dcd619532b565d2ce6b3ed7393933",
+    ("avalanche", 65537, 0.5):
+        "eba30309ee767808a042022af438fd40c2bee450e5a1175eb6b98c980ad8cb08",
     ("shifted", 1, 1e-07):
         "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
     ("shifted", 1, 0.5):
@@ -562,6 +576,12 @@ TABLE_PINS = {
         "54defba2894d6f5aeb22000a7d64334b0ef3f3e37e437b926951f972ddcbd7dc",
     ("shifted", 1000, 0.99):
         "a2b59f400899da9bcf2406c794e32cf2b878f09bb4e3fd84506bebf0f37dcb2b",
+    ("shifted", 65535, 0.5):
+        "09ad3853ebc18af91e8ecd5907f2e0c8c3f25956937f179006fb5073678ea3f1",
+    ("shifted", 65536, 0.5):
+        "71dd4d53bf4962b91cbb4a7a1757ddf8d45dcd619532b565d2ce6b3ed7393933",
+    ("shifted", 65537, 0.5):
+        "eba30309ee767808a042022af438fd40c2bee450e5a1175eb6b98c980ad8cb08",
 }
 
 
@@ -593,3 +613,45 @@ def test_scalar_pmf_matches_table_and_support(family, params):
     for b in (sup.start - 1, sup.stop):
         with pytest.raises(ValueError):
             pmf(family, params, b)
+
+
+# The scalar log terms the float tables were first built from, one Python
+# float operation at a time.  The table kernel must reproduce them bit for bit.
+def _reference_log_binom(n, k):
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+def _reference_log_term(family, params, b):
+    N, p = params.N, params.p
+    if family == "abelian":
+        log_C = math.log1p(-N * p) - math.log1p(-(N - 1) * p)
+        return (
+            log_C
+            + _reference_log_binom(N - 1, b - 1)
+            + (b - 1) * math.log(p)
+            + (N - b - 1) * math.log1p(-b * p)
+            + (b - 2) * math.log(b)
+        )
+    if family == "shifted":
+        b -= 1
+    lp = _reference_log_binom(N, b) + b * math.log(p) + (b - 1) * math.log(b + 1)
+    if b < N:
+        lp += (N - b) * math.log1p(-(b + 1) * p)
+    return lp
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    N=st.integers(1, 300),
+    log_alpha=st.floats(math.log(1e-7), math.log(0.999999)),
+)
+def test_float_table_matches_reference_terms(family, N, log_alpha):
+    params = Params.stable(N, alpha=min(math.exp(log_alpha), 0.999999))
+    expected = [
+        math.exp(_reference_log_term(family, params, b)).hex()
+        for b in support(family, N)
+    ]
+    table = pmf_table(family, params)
+    assert [q.hex() for q in table.probs_float] == expected
+    assert [pmf(family, params, b).hex() for b in table.support] == expected
