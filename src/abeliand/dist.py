@@ -4,7 +4,12 @@ Two evaluation modes share one API.  Exact mode works in
 ``fractions.Fraction`` throughout, so normalization, moment identities and
 the J-term rewrite of the second moment can be asserted with equality.
 Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and
-keeps only their exponentials.  One term table serves pmf and pmf_table.
+keeps only their exponentials: one numpy kernel per family maps a block of
+support points to log terms, reading log-factorials from one table built
+per pmf_table call.  Tables come back as read-only float64 arrays, filled
+in blocks of _BLOCK points; scalar pmf runs the same kernel on a one-point
+block, so it returns the same bits as the table.  The transcendental
+functions are Python's math.* ones, mapped over each block.
 
 Both modes take E(X) and the second-moment bracket from one running
 product of the falling-power terms (n)_i p^i.  Float mode sums the bracket
@@ -23,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
+
+import numpy as np
 
 from .stirling import horner, split_index, stirling_row
 
@@ -97,7 +104,7 @@ class PmfTable:
     params: Params
     support: tuple[int, ...]
     probs_exact: tuple[Fraction, ...] | None
-    probs_float: tuple[float, ...] | None
+    probs_float: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -151,10 +158,6 @@ def normalization_C(params: Params) -> Number:
     return (1 - N * p) / (1 - (N - 1) * p)
 
 
-def _log_binom(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
 def _abelian_term(params: Params):
     N, p, C = params.N, params.p, normalization_C(params)
     return lambda b: (
@@ -163,25 +166,6 @@ def _abelian_term(params: Params):
         * p ** (b - 1)
         * (1 - b * p) ** (N - b - 1)
         * Fraction(b) ** (b - 2)
-    )
-
-
-def _abelian_log_term(params: Params):
-    """b -> log of the Abelian PMF, assembled factor by factor in log space.
-
-    Every base is positive on the support: 1 - b*p >= 1 - N*p > 0.  The
-    b = N term carries exponent N-b-1 = -1 and b = 1 contributes
-    (b-2)*log(b) = 0, both handled by plain arithmetic here.
-    """
-    N, p = params.N, params.p
-    log_C = math.log1p(-N * p) - math.log1p(-(N - 1) * p)
-    log_p = math.log(p)
-    return lambda b: (
-        log_C
-        + _log_binom(N - 1, b - 1)
-        + (b - 1) * log_p
-        + (N - b - 1) * math.log1p(-b * p)
-        + (b - 2) * math.log(b)
     )
 
 
@@ -195,42 +179,77 @@ def _avalanche_term(params: Params):
     )
 
 
-def _avalanche_log_term(params: Params):
-    """b -> log of the Avalanche PMF.
+def _map(f, x: np.ndarray) -> np.ndarray:
+    # The math.* functions, not numpy's: np.log, np.log1p, np.exp and
+    # scipy.special.gammaln round some last bits differently.
+    return np.fromiter(map(f, x.tolist()), np.float64, len(x))
 
-    The factor (1 - (b+1)*p)^(N-b) is skipped when its exponent is zero
-    (b = N), where its base may be <= 0 but the factor is 1 by convention.
+
+def _log_factorial(j: np.ndarray) -> np.ndarray:
+    """log j! for an int array j, one math.lgamma per entry."""
+    return _map(math.lgamma, j + 1)
+
+
+def _abelian_log_block(params: Params, b: np.ndarray, log_factorial) -> np.ndarray:
+    """log of the Abelian PMF at an int64 array b, factor by factor.
+
+    Every base is positive on the support: 1 - b*p >= 1 - N*p > 0.  The
+    b = N term carries exponent N-b-1 = -1 and b = 1 contributes
+    (b-2)*log(b) = 0, both handled by plain arithmetic here.
     """
     N, p = params.N, params.p
-    log_p = math.log(p)
+    log_C = math.log1p(-N * p) - math.log1p(-(N - 1) * p)
+    log_binom = (math.lgamma(N) - log_factorial(b - 1)) - log_factorial(N - b)
+    return (
+        (log_C + log_binom)
+        + (b - 1) * math.log(p)
+        + (N - b - 1) * _map(math.log1p, -b * p)
+        + (b - 2) * _map(math.log, b)
+    )
 
-    def term(b):
-        lp = _log_binom(N, b) + b * log_p + (b - 1) * math.log(b + 1)
-        if b < N:
-            lp += (N - b) * math.log1p(-(b + 1) * p)
-        return lp
 
-    return term
+def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial) -> np.ndarray:
+    """log of the Avalanche PMF at an int64 array b.
+
+    The factor (1 - (b+1)*p)^(N-b) adds zero where its exponent is zero
+    (b = N): there its base may be <= 0 but the factor is 1 by convention.
+    """
+    N, p = params.N, params.p
+    log_binom = (math.lgamma(N + 1) - log_factorial(b)) - log_factorial(N - b)
+    lp = log_binom + b * math.log(p) + (b - 1) * _map(math.log, b + 1)
+    inner = b < N
+    tail = np.zeros(len(b))
+    tail[inner] = (N - b[inner]) * _map(math.log1p, -(b[inner] + 1) * p)
+    return lp + tail
 
 
-# family -> (exact term, log term, shift): P(family = b) is term(params) at
-# b - shift, for b in support(family, N) only.
+# family -> (exact term, log block, shift): P(family = b) is term(params) at
+# b - shift, for b in support(family, N) only; the log block maps an array
+# of such b - shift to log probabilities.
 _TERMS = {
-    "abelian": (_abelian_term, _abelian_log_term, 0),
-    "avalanche": (_avalanche_term, _avalanche_log_term, 0),
-    "shifted": (_avalanche_term, _avalanche_log_term, 1),
+    "abelian": (_abelian_term, _abelian_log_block, 0),
+    "avalanche": (_avalanche_term, _avalanche_log_block, 0),
+    "shifted": (_avalanche_term, _avalanche_log_block, 1),
 }
+
+# Support points per float kernel call: bounds the kernel's temporaries.
+_BLOCK = 1 << 16
+
+
+def _float_block(family: str, params: Params, b: np.ndarray, log_factorial) -> np.ndarray:
+    _, log_block, shift = _TERMS[family]
+    return _map(math.exp, log_block(params, b - shift, log_factorial))
 
 
 def pmf(family: str, params: Params, b: int) -> Number:
-    """P(family = b): the exact term, or exp of the log term in float mode."""
+    """P(family = b): the exact term, or the float table kernel at one point."""
     sup = support(family, params.N)
     if b not in sup:
         raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
-    exact_term, log_term, shift = _TERMS[family]
     if params.is_exact:
+        exact_term, _, shift = _TERMS[family]
         return exact_term(params)(b - shift)
-    return math.exp(log_term(params)(b - shift))
+    return _float_block(family, params, np.array([b]), _log_factorial)[0].item()
 
 
 def abelian_pmf(params: Params, b: int) -> Number:
@@ -249,15 +268,22 @@ def shifted_pmf(params: Params, b: int) -> Number:
 
 
 def pmf_table(family: str, params: Params) -> PmfTable:
-    """Whole-support table of exact or float probabilities."""
+    """Whole-support table: exact Fractions, or a read-only float64 array."""
     sup = support(family, params.N)
-    exact_term, log_term, shift = _TERMS[family]
     if params.is_exact:
+        exact_term, _, shift = _TERMS[family]
         term = exact_term(params)
         probs = tuple(term(b - shift) for b in sup)
         return PmfTable(family, params, tuple(sup), probs, None)
-    term = log_term(params)
-    probs = tuple(map(math.exp, (term(b - shift) for b in sup)))
+    # log j! for j = 0..N, looked up by every block; a range, not an array,
+    # feeds math.lgamma, so no list of N Python ints is built
+    N = params.N
+    log_factorials = np.fromiter(map(math.lgamma, range(1, N + 2)), np.float64, N + 1)
+    probs = np.empty(len(sup))
+    for start in range(0, len(sup), _BLOCK):
+        b = np.arange(sup.start + start, min(sup.start + start + _BLOCK, sup.stop))
+        probs[start : start + len(b)] = _float_block(family, params, b, log_factorials.__getitem__)
+    probs.flags.writeable = False
     return PmfTable(family, params, tuple(sup), None, probs)
 
 
@@ -355,7 +381,7 @@ def brute_force_moment(family: str, params: Params, k: int) -> Number:
         raise ValueError(f"exact brute force guarded to N <= {_BRUTE_FORCE_N_MAX}")
     table = pmf_table(family, params)
     number = Fraction if exact else float
-    probs = table.probs_exact if exact else table.probs_float
+    probs = table.probs_exact if exact else table.probs_float.tolist()
     return _total((number(b) ** k * q for b, q in zip(table.support, probs)), exact)
 
 

@@ -9,6 +9,7 @@ budgets.
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -156,7 +157,10 @@ def test_criterion_8_sampler_fidelity():
 
 
 def _run_cli(*argv):
+    # the child imports the same abeliand as this process, installed or not
+    src = str(pathlib.Path(dist.__file__).resolve().parents[1])
     env = {k: v for k, v in os.environ.items() if k != "ABELIAND_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "abeliand", *argv],
         capture_output=True,

@@ -125,6 +125,28 @@ def test_float_commands_check_the_exact_input(capsys, monkeypatch, argv):
     assert err.startswith("abeliand: error:")
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_pmf_refuses_n_over_budget(capsys, monkeypatch, mode):
+    def no_table(*args):
+        raise AssertionError("pmf_table called on refused input")
+
+    monkeypatch.setattr(cli.dist, "pmf_table", no_table)
+    N = cli.PMF_MAX_N[mode] + 1
+    code, out, err = run(
+        capsys, "pmf", "--family", "abelian", "--N", str(N), "--alpha", "1/2",
+        "--mode", mode,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: pmf --mode {mode} serves N <= {N - 1}, got N={N}\n"
+
+
+def test_pmf_budget_admits_the_documented_sizes():
+    # the tests and the benchmark run exact N = 1000 and float N = 10^5
+    assert cli.PMF_MAX_N["exact"] >= 1000
+    assert cli.PMF_MAX_N["float"] >= 10**5
+
+
 def test_pmf_rejects_unparseable_ratio(capsys):
     code, _, err = run(
         capsys, "pmf", "--family", "abelian", "--N", "2", "--alpha", "zebra",

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from abeliand.dist import (
     variance_limit,
 )
 from abeliand.stirling import falling_factorial
+from abeliand.verify import _relative_gap
 
 ALPHAS = [Fraction(k, 10) for k in range(1, 10)]
 
@@ -490,7 +492,10 @@ def test_float_moments_bit_identical(N, alpha):
 
 # sha256 of ",".join(q.hex() for q in probs_float) for each float table.
 # Every term expression, its addition order and the exp of each log term
-# show up in these bits.
+# show up in these bits.  N = 2^16 - 1 .. 2^16 + 1 put the end of the
+# support on either side of the table kernel's block boundary.  The heavy
+# tail at N = 10^4, alpha = 0.999999 keeps terms such as b = 9170 far from
+# underflow, where numpy's log rounds differently from math.log.
 TABLE_PINS = {
     ("abelian", 1, 1e-07):
         "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
@@ -522,6 +527,8 @@ TABLE_PINS = {
         "2c3cc35baba7c8a21f6d28429140a6cef71ab1807b79adcbaf1a2f043408e0b9",
     ("abelian", 65537, 0.5):
         "c9f38c30c9707195066eb323a259da2c48dd2ff4fcb18f4ea8766cf2138305c3",
+    ("abelian", 10000, 0.999999):
+        "fd333403dd8c1837f14713506ee10d736965e9a25998aac26c2ccc3276509697",
     ("avalanche", 1, 1e-07):
         "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
     ("avalanche", 1, 0.5):
@@ -552,6 +559,8 @@ TABLE_PINS = {
         "71dd4d53bf4962b91cbb4a7a1757ddf8d45dcd619532b565d2ce6b3ed7393933",
     ("avalanche", 65537, 0.5):
         "eba30309ee767808a042022af438fd40c2bee450e5a1175eb6b98c980ad8cb08",
+    ("avalanche", 10000, 0.999999):
+        "fcd023806dd7a097a3e3061b27fde42ef9b62eca1f71a905902e963f34d400f1",
     ("shifted", 1, 1e-07):
         "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
     ("shifted", 1, 0.5):
@@ -582,6 +591,8 @@ TABLE_PINS = {
         "71dd4d53bf4962b91cbb4a7a1757ddf8d45dcd619532b565d2ce6b3ed7393933",
     ("shifted", 65537, 0.5):
         "eba30309ee767808a042022af438fd40c2bee450e5a1175eb6b98c980ad8cb08",
+    ("shifted", 10000, 0.999999):
+        "fcd023806dd7a097a3e3061b27fde42ef9b62eca1f71a905902e963f34d400f1",
 }
 
 
@@ -652,6 +663,38 @@ def test_float_table_matches_reference_terms(family, N, log_alpha):
         math.exp(_reference_log_term(family, params, b)).hex()
         for b in support(family, N)
     ]
-    table = pmf_table(family, params)
+    # 64-point blocks: tables with N > 63 are built in several blocks
+    with mock.patch.object(dist, "_BLOCK", 64):
+        table = pmf_table(family, params)
     assert [q.hex() for q in table.probs_float] == expected
     assert [pmf(family, params, b).hex() for b in table.support] == expected
+
+
+# Stated accuracy of float tables for N <= 60 and 1e-7 <= alpha <= 0.999999,
+# against the exact table at the same alpha, with suite_float's rule that
+# exact values at or below 1e-280 only need a float at or below 1e-280.
+# Measured over ~98k tables: 3.0e-13 at most for alpha < 0.5, 1.1e-10 at
+# alpha = 0.999999.  The 1/(1 - alpha) part is the rounding of p = alpha/N
+# seen through 1 - N*p, which is about 1 - alpha.
+def float_pmf_bound(alpha):
+    return 1e-12 + 2.5e-16 / (1 - alpha)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    N=st.integers(1, 60),
+    log_alpha=st.floats(math.log(1e-7), math.log(0.999999)),
+)
+def test_float_table_accuracy(family, N, log_alpha):
+    alpha = min(math.exp(log_alpha), 0.999999)
+    floats = pmf_table(family, Params.stable(N, alpha=alpha)).probs_float
+    exact = pmf_table(family, Params.exact(N, alpha=Fraction(alpha))).probs_exact
+    worst = max(_relative_gap(f, e) for f, e in zip(floats, exact))
+    assert worst <= float_pmf_bound(alpha)
+
+
+def test_float_table_is_read_only():
+    table = pmf_table("abelian", Params.stable(10, alpha=0.5))
+    with pytest.raises(ValueError):
+        table.probs_float[0] = 0.0
