@@ -236,7 +236,8 @@ _TERMS = {
 _BLOCK = 1 << 16
 
 
-def _float_block(family: str, params: Params, b: np.ndarray, log_factorial) -> np.ndarray:
+def _float_block(family: str, params: Params, b: np.ndarray, log_factorial):
+    """P(family = b) at an int64 array b, as a float64 array."""
     _, log_block, shift = _TERMS[family]
     return _map(math.exp, log_block(params, b - shift, log_factorial))
 
@@ -278,11 +279,11 @@ def pmf_table(family: str, params: Params) -> PmfTable:
     # log j! for j = 0..N, looked up by every block; a range, not an array,
     # feeds math.lgamma, so no list of N Python ints is built
     N = params.N
-    log_factorials = np.fromiter(map(math.lgamma, range(1, N + 2)), np.float64, N + 1)
+    lg = np.fromiter(map(math.lgamma, range(1, N + 2)), np.float64, N + 1)
     probs = np.empty(len(sup))
     for start in range(0, len(sup), _BLOCK):
         b = np.arange(sup.start + start, min(sup.start + start + _BLOCK, sup.stop))
-        probs[start : start + len(b)] = _float_block(family, params, b, log_factorials.__getitem__)
+        probs[start : start + len(b)] = _float_block(family, params, b, lg.__getitem__)
     probs.flags.writeable = False
     return PmfTable(family, params, tuple(sup), None, probs)
 
