@@ -22,6 +22,7 @@ from .dist import (
     normalization_C,
     pmf,
     pmf_table,
+    rounded_avalanche_mean,
     shifted_pmf,
     support,
     variance_limit,

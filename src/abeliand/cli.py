@@ -9,6 +9,7 @@ environment variable, which wins over the default.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -24,9 +25,12 @@ DEFAULT_SAMPLE_M = 100_000
 _MAX_FAILURES_SHOWN = 20
 
 # Largest N that `pmf` serves in each mode, from measurements on a 2-core
-# VM: the exact Abelian table at alpha = 1/2 takes 3.0 s at N = 2000 and
-# 22 s at N = 4000; float `pmf` at N = 10^6 takes 2.7 s end to end and
-# peaks at 191 MB, growing linearly in N.
+# VM (Python 3.11): the exact Abelian table at alpha = 1/2 takes 0.16 s at
+# N = 1000, 1.2 s at N = 2000 and 9.6 s at N = 4000 (31, 39 and 76 MB).
+# Exact `pmf` end to end takes 1.0 s at N = 1000 and 5.3 s at N = 2000, of
+# which 3.0 s is the decimal conversion of its ~7000-digit integers, which
+# grows with the square of their length.  Float `pmf` at N = 10^6 takes
+# 2.7 s end to end and peaks at 191 MB, growing linearly in N.
 PMF_MAX_N = {"exact": 2000, "float": 10**6}
 
 
@@ -88,6 +92,26 @@ def _emit_table(args, columns, rows) -> None:
         _write_csv(columns, rows)
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift Python's int-to-str digit limit for the block, then restore it.
+
+    Exact tables and moments hold integers of about N * log10(d) digits for
+    p = a/d, past the default 4300-digit limit well inside the pmf budget
+    (d = 4000 at N = 2000, alpha = 1/2).  Input parsing keeps the limit.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # interpreters without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def run_pmf(args) -> int:
     budget = PMF_MAX_N[args.mode]
     if args.N > budget:
@@ -103,7 +127,8 @@ def run_pmf(args) -> int:
     else:
         columns = ["b", "prob"]
         rows = list(zip(table.support, table.probs_float.tolist()))
-    _emit_table(args, columns, rows)
+    with _unlimited_int_digits():
+        _emit_table(args, columns, rows)
     return 0
 
 
@@ -115,14 +140,15 @@ def run_moments(args) -> int:
         raise UsageError(str(exc)) from None
     fmt = str if params.is_exact else float
     columns = ["N", "alpha", "mean", "second_moment", "variance"]
-    row = (
-        args.N,
-        fmt(params.alpha),
-        fmt(m.mean),
-        fmt(m.second_moment),
-        fmt(m.variance),
-    )
-    _emit_table(args, columns, [row])
+    with _unlimited_int_digits():
+        row = (
+            args.N,
+            fmt(params.alpha),
+            fmt(m.mean),
+            fmt(m.second_moment),
+            fmt(m.variance),
+        )
+        _emit_table(args, columns, [row])
     return 0
 
 
@@ -160,7 +186,7 @@ def run_sample(args) -> int:
         "empirical_variance": stats.empirical_variance,
         "stderr_mean": stats.stderr_mean,
         "empirical_pmf": {str(b): stats.empirical_pmf[b] for b in sorted(stats.empirical_pmf)},
-        "exact_mean": float(dist.avalanche_mean(exact)),
+        "exact_mean": dist.rounded_avalanche_mean(exact),
     }
     _write_json(payload)
     return 0

@@ -1,21 +1,27 @@
 """The Abelian and Avalanche distribution families.
 
-Two evaluation modes share one API.  Exact mode works in
-``fractions.Fraction`` throughout, so normalization, moment identities and
-the J-term rewrite of the second moment can be asserted with equality.
-Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and
-keeps only their exponentials: one numpy kernel per family maps a block of
-support points to log terms, reading log-factorials from one table built
-per pmf_table call.  Tables come back as read-only float64 arrays, filled
-in blocks of _BLOCK points; scalar pmf runs the same kernel on a one-point
-block, so it returns the same bits as the table.  The transcendental
-functions are Python's math.* ones, mapped over each block.
+Two evaluation modes share one API.  Exact mode returns
+``fractions.Fraction`` values, so normalization, moment identities and the
+J-term rewrite of the second moment can be asserted with equality.  It
+computes in integers: with p = a/d in lowest terms, a table entry is one
+integer numerator over one shared power of d, reduced by the few small
+primes the two can share, and a series is one integer numerator over d^n,
+reduced once.  Float mode evaluates PMFs in log space (log-gamma binomials,
+log1p) and keeps only their exponentials: one numpy kernel per family maps
+a block of support points to log terms, reading log-factorials from one
+table built per pmf_table call.  Tables come back as read-only float64
+arrays, filled in blocks of _BLOCK points.  In either mode scalar pmf runs
+the table's own per-entry kernel (in float mode on a one-point block), so
+it returns the same value as the table.  The float transcendental functions
+are Python's math.* ones, mapped over each block.
 
-Both modes take E(X) and the second-moment bracket from one running
-product of the falling-power terms (n)_i p^i.  Float mode sums the bracket
-with a single compensated fsum and switches to the J-term tail form for
-large N, where the bracket cancels catastrophically.  The exact J-term
-rewrite evaluates the Stirling-row polynomials P_i(N) by integer Horner.
+Float mode takes E(X) and the second-moment bracket from one running
+product of the falling-power terms (n)_i p^i, sums the bracket with a
+single compensated fsum and switches to the J-term tail form for large N,
+where the bracket cancels catastrophically.  Exact mode builds the same
+series as S_n = sum_i (n)_i a^i d^(n-i) by an integer recurrence.  The
+exact J-term rewrite evaluates the Stirling-row polynomials P_i(N) by
+integer Horner.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
 shifted Avalanche family (Avalanche + 1) on {1..N+1}.  The shared parameter
@@ -102,7 +108,7 @@ class Params:
 class PmfTable:
     family: str
     params: Params
-    support: tuple[int, ...]
+    support: range
     probs_exact: tuple[Fraction, ...] | None
     probs_float: np.ndarray | None
 
@@ -158,25 +164,137 @@ def normalization_C(params: Params) -> Number:
     return (1 - N * p) / (1 - (N - 1) * p)
 
 
+if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 and later
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """num/den for coprime num and den > 0, with no gcd taken."""
+        return Fraction._from_coprime_ints(num, den)
+
+else:
+
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        """num/den for coprime num and den > 0, with no gcd taken."""
+        return Fraction(num, den, _normalize=False)
+
+
+def _valuation(x: int, q: int) -> int:
+    """Exponent of the prime q in the nonzero integer x."""
+    v = 0
+    while x % q == 0:
+        x //= q
+        v += 1
+    return v
+
+
+def _factorial_valuation(n: int, q: int) -> int:
+    """Exponent of the prime q in n! (Legendre)."""
+    v = 0
+    while n:
+        n //= q
+        v += n
+    return v
+
+
+def _binomial_valuation(n: int, k: int, q: int) -> int:
+    """Exponent of the prime q in C(n, k)."""
+    return _factorial_valuation(n, q) - _factorial_valuation(k, q) - _factorial_valuation(n - k, q)
+
+
+def _small_prime_factors(d: int, bound: int) -> list[tuple[int, int]]:
+    """(q, v_q(d)) for every prime q <= bound that divides d."""
+    out = []
+    for q in range(2, bound + 1):
+        if d == 1:
+            break
+        if d % q == 0:  # prime: its smaller factors are already divided out
+            v = _valuation(d, q)
+            d //= q**v
+            out.append((q, v))
+    return out
+
+
+# The exact terms put p = a/d (in lowest terms) over one power of d, so a
+# probability is one integer numerator over one shared integer denominator.
+# The numerator shares with d only primes q <= N+1: gcd(a, d) = 1,
+# gcd(d - k*a, d) = gcd(k, d), and the other factors (binomials, b^(b-2),
+# (b+1)^(b-1)) have no prime above N+1.  So the common factor is the
+# product of q^min(v_q(num), v_q(den)) over those q, each v_q summed from
+# the small factors, and no gcd of two big integers is taken.
+
+
 def _abelian_term(params: Params):
-    N, p, C = params.N, params.p, normalization_C(params)
-    return lambda b: (
-        C
-        * math.comb(N - 1, b - 1)
-        * p ** (b - 1)
-        * (1 - b * p) ** (N - b - 1)
-        * Fraction(b) ** (b - 2)
-    )
+    """b -> P(Z = b) over the shared denominator (d - (N-1)a) d^(N-2).
+
+    For b < N the numerator is C(N-1,b-1) a^(b-1) (d-ba)^(N-b-1) b^(b-2)
+    (d-Na), with b^(b-2) read as 1 at b = 1; at b = N the factor
+    (d-Na)^(-1) cancels C's (d-Na), leaving a^(N-1) N^(N-2).
+    """
+    N = params.N
+    if N == 1:
+        return lambda b: Fraction(1)
+    a, d = params.p.numerator, params.p.denominator
+    e = d - (N - 1) * a
+    den = e * d ** (N - 2)
+    # (q, v_q(den)) for the primes q <= N+1 of d
+    primes = [(q, _valuation(e, q) + (N - 2) * v) for q, v in _small_prime_factors(d, N + 1)]
+    # e with the primes of d divided out is coprime to d, so the part of the
+    # common factor not found above divides it
+    e_rest = e
+    for q, _ in primes:
+        e_rest //= q ** _valuation(e_rest, q)
+
+    def term(b: int) -> Fraction:
+        if b == N:
+            num = a ** (N - 1) * N ** (N - 2)
+        else:
+            num = math.comb(N - 1, b - 1) * a ** (b - 1) * (d - b * a) ** (N - b - 1)
+            num *= d - N * a
+            if b > 1:
+                num *= b ** (b - 2)
+        g = 1
+        for q, v_den in primes:
+            if b == N:
+                v_num = (N - 2) * _valuation(N, q)
+            else:
+                v_num = (
+                    _binomial_valuation(N - 1, b - 1, q)
+                    + (N - b - 1) * _valuation(d - b * a, q)
+                    + max(b - 2, 0) * _valuation(b, q)
+                    + _valuation(d - N * a, q)
+                )
+            g *= q ** min(v_num, v_den)
+        num //= g
+        g2 = math.gcd(num, e_rest)
+        return _coprime_fraction(num // g2, den // (g * g2))
+
+    return term
 
 
 def _avalanche_term(params: Params):
-    N, p = params.N, params.p
-    return lambda b: (
-        math.comb(N, b)
-        * p**b
-        * (1 - (b + 1) * p) ** (N - b)
-        * Fraction(b + 1) ** (b - 1)
-    )
+    """b -> P(X = b) = C(N,b) a^b (d-(b+1)a)^(N-b) (b+1)^(b-1) / d^N.
+
+    The factor (d-(b+1)a)^(N-b) is 1 at b = N, where its base may be <= 0,
+    and (b+1)^(b-1) is 1 at b = 0.
+    """
+    N = params.N
+    a, d = params.p.numerator, params.p.denominator
+    den = d**N
+    primes = [(q, N * v) for q, v in _small_prime_factors(d, N + 1)]
+
+    def term(b: int) -> Fraction:
+        x = d - (b + 1) * a
+        num = math.comb(N, b) * a**b * x ** (N - b)
+        if b > 1:
+            num *= (b + 1) ** (b - 1)
+        g = 1
+        for q, v_den in primes:
+            v_num = _binomial_valuation(N, b, q) + max(b - 1, 0) * _valuation(b + 1, q)
+            if b < N:
+                v_num += (N - b) * _valuation(x, q)
+            g *= q ** min(v_num, v_den)
+        return _coprime_fraction(num // g, den // g)
+
+    return term
 
 
 def _map(f, x: np.ndarray) -> np.ndarray:
@@ -275,7 +393,7 @@ def pmf_table(family: str, params: Params) -> PmfTable:
         exact_term, _, shift = _TERMS[family]
         term = exact_term(params)
         probs = tuple(term(b - shift) for b in sup)
-        return PmfTable(family, params, tuple(sup), probs, None)
+        return PmfTable(family, params, sup, probs, None)
     # log j! for j = 0..N, looked up by every block; a range, not an array,
     # feeds math.lgamma, so no list of N Python ints is built
     N = params.N
@@ -285,7 +403,7 @@ def pmf_table(family: str, params: Params) -> PmfTable:
         b = np.arange(sup.start + start, min(sup.start + start + _BLOCK, sup.stop))
         probs[start : start + len(b)] = _float_block(family, params, b, lg.__getitem__)
     probs.flags.writeable = False
-    return PmfTable(family, params, tuple(sup), None, probs)
+    return PmfTable(family, params, sup, None, probs)
 
 
 def abelian_mean(params: Params) -> Number:
@@ -294,40 +412,81 @@ def abelian_mean(params: Params) -> Number:
     return N / (N - (N - 1) * alpha)
 
 
-def _falling_powers(n: int, p: Number):
-    """Terms (n)_i * p^i for i = 1..n, as the running product of (n-i+1)*p.
+def _falling_powers(n: int, p: float):
+    """Float terms (n)_i * p^i for i = 1..n, as the running product of (n-i+1)*p.
 
-    Each factor is below alpha < 1, so the terms decrease.  Float p stops
-    after the first term below 1e-25; exact p yields every term.
+    Each factor is below alpha < 1, so the terms decrease; the series stops
+    after the first term below 1e-25.
     """
-    cut = 0 if isinstance(p, Fraction) else 1e-25
     t = 1
     for i in range(1, n + 1):
         t *= (n - i + 1) * p
         yield t
-        if t < cut:
+        if t < 1e-25:
             return
 
 
-def _total(terms, exact: bool) -> Number:
-    # fsum rounds once over all the terms: the float bracket must go through
-    # it whole, or the cancellation between 1/(1-Np) - 1 and the series
-    # rounds differently.
-    return sum(terms, start=Fraction(0)) if exact else math.fsum(terms)
+def _falling_power_sum(n: int, a: int, d: int) -> tuple[int, int]:
+    """(S_n, d^n) with S_n = sum_{i=1..n} (n)_i a^i d^(n-i).
+
+    So sum_{i=1..n} (n)_i p^i = S_n / d^n for p = a/d, and
+    S_k = k*a*(d^(k-1) + S_(k-1)) builds it in n integer steps.
+    """
+    s, dk = 0, 1
+    for k in range(1, n + 1):
+        s = k * a * (dk + s)
+        dk *= d
+    return s, dk
 
 
 def avalanche_mean(params: Params) -> Number:
     """E(X) = sum_{i=1..N} (N)_i * p^i, with (N)_i the falling factorial."""
-    return _total(_falling_powers(params.N, params.p), params.is_exact)
+    if params.is_exact:
+        return Fraction(*_falling_power_sum(params.N, params.p.numerator, params.p.denominator))
+    return math.fsum(_falling_powers(params.N, params.p))
+
+
+def rounded_avalanche_mean(params: Params) -> float:
+    """float(avalanche_mean(params)) for exact params, from a prefix of the series.
+
+    The terms t_k = (N)_k p^k fall by a factor (N-k)p < alpha each, so the
+    terms after t_k sum to less than t_k * alpha/(1-alpha).  Once the
+    partial sum S_k and S_k plus that bound round to the same float, the
+    whole sum rounds to it too.  Int / int is correctly rounded, as
+    float(Fraction) is, so the result is the same float at any N.
+    """
+    if not params.is_exact:
+        raise ValueError("rounded_avalanche_mean requires exact-mode params")
+    N, a, d = params.N, params.p.numerator, params.p.denominator
+    rest = d - N * a  # (1 - alpha) * d
+    # S_k = s / d^k and t_k = t / d^k; the tail bound is t*N*a / (d^k * rest)
+    s, t, dk = 0, 1, 1
+    for k in range(1, N + 1):
+        t *= (N - k + 1) * a
+        s = s * d + t
+        dk *= d
+        mean = s / dk
+        if mean == (s * rest + t * N * a) / (dk * rest):
+            break
+    return mean
 
 
 def abelian_second_moment(params: Params) -> Number:
     """E(Z^2) = (C/p) * [1/(1-Np) - 1 - sum_{i=1..N-1} (N-1)_i p^i]."""
     N, p, alpha = params.N, params.p, params.alpha
+    if params.is_exact:
+        # with p = a/d and S = S_(N-1): E(Z^2) =
+        # d (N a d^(N-1) - (d - N a) S) / ((d - (N-1) a) a d^(N-1))
+        a, d = p.numerator, p.denominator
+        s, dn = _falling_power_sum(N - 1, a, d)
+        return Fraction(d * (N * a * dn - (d - N * a) * s), (d - (N - 1) * a) * a * dn)
     C = normalization_C(params)
-    if params.is_exact or N <= _FLOAT_TAIL_N:
+    if N <= _FLOAT_TAIL_N:
+        # fsum rounds once over all the terms: the bracket must go through it
+        # whole, or the cancellation between 1/(1-Np) - 1 and the series
+        # rounds differently.
         series = (-t for t in _falling_powers(N - 1, p))
-        return C / p * _total([1 / (1 - N * p), -1, *series], params.is_exact)
+        return C / p * math.fsum([1 / (1 - N * p), -1, *series])
     J1 = alpha**N / (p * (1.0 - alpha))
     return C * (J1 - _float_J3_closed(N, alpha) - _float_J4(N, alpha))
 
@@ -381,9 +540,10 @@ def brute_force_moment(family: str, params: Params, k: int) -> Number:
     if exact and params.N > _BRUTE_FORCE_N_MAX:
         raise ValueError(f"exact brute force guarded to N <= {_BRUTE_FORCE_N_MAX}")
     table = pmf_table(family, params)
-    number = Fraction if exact else float
-    probs = table.probs_exact if exact else table.probs_float.tolist()
-    return _total((number(b) ** k * q for b, q in zip(table.support, probs)), exact)
+    if exact:
+        terms = (Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact))
+        return sum(terms, start=Fraction(0))
+    return math.fsum(float(b) ** k * q for b, q in zip(table.support, table.probs_float.tolist()))
 
 
 def moments(family: str, params: Params) -> Moments:

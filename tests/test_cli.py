@@ -4,10 +4,11 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from abeliand import cli, verify
+from abeliand import cli, dist, verify
 from abeliand.cli import main
 from abeliand.stirling import StirlingRow, stirling_row
 
@@ -311,3 +312,61 @@ def test_csv_uses_lf_line_endings(capsys):
     )
     assert "\r" not in out
     assert out.endswith("\n")
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_pmf_exact_prints_past_the_int_digit_limit(capsys, output):
+    # denominators of d^20 with a 500-digit d: ~10^4 digits per integer
+    d = 10**499 + 3
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(
+        capsys, "pmf", "--family", "avalanche", "--N", "20", "--p", f"1/{d}",
+        "--mode", "exact", "--output", output,
+    )
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        if output == "json":
+            rows = [(r["b"], r["prob_num"], r["prob_den"]) for r in json.loads(out)]
+        else:
+            rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    table = dist.pmf_table("avalanche", dist.Params.exact(20, p=Fraction(1, d)))
+    assert rows == [
+        (b, q.numerator, q.denominator) for b, q in zip(table.support, table.probs_exact)
+    ]
+    assert max(den for _, _, den in rows) > 10**limit
+
+
+def test_moments_exact_prints_past_the_int_digit_limit(capsys):
+    d = 10**499 + 3
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "moments", "--N", "20", "--p", f"1/{d}")
+    assert code == 0 and err == ""
+    assert sys.get_int_max_str_digits() == limit
+    m = dist.abelian_variance(dist.Params.exact(20, p=Fraction(1, d)))
+    sys.set_int_max_str_digits(0)
+    try:
+        fields = out.splitlines()[1].split(",")
+        assert [Fraction(f) for f in fields[2:]] == [m.mean, m.second_moment, m.variance]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_sample_large_n_finishes():
+    # exact_mean comes from a prefix of the exact series; summing the whole
+    # series in Fractions at N = 10^5 did not finish in 30 s.  The value was
+    # checked against the 300-term Fraction prefix, whose tail is below 1e-80.
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "abeliand", "sample", "--N", "100000", "--alpha", "0.5",
+         "--M", "20"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["exact_mean"] == 0.999980000999918

@@ -136,7 +136,7 @@ def test_exact_tables_normalize(N, alpha):
         table = pmf_table(family, params)
         assert sum(table.probs_exact) == 1
         assert min(table.probs_exact) >= 0
-        assert table.support == tuple(support(family, N))
+        assert table.support == support(family, N)
 
 
 def test_abelian_mean_values():

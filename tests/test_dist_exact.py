@@ -16,6 +16,7 @@ from abeliand.dist import (
     normalization_C,
     pmf,
     pmf_table,
+    rounded_avalanche_mean,
     support,
 )
 
@@ -217,3 +218,17 @@ def test_exact_table_matches_reference_terms(family, params):
         # numerator and denominator apart: an unreduced Fraction fails here
         assert [q.numerator for q in got] == [q.numerator for q in expected]
         assert [q.denominator for q in got] == [q.denominator for q in expected]
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=exact_params(), heavy=st.booleans())
+def test_rounded_avalanche_mean_is_the_float_of_the_exact_mean(params, heavy):
+    if heavy:  # alpha within 1/d of 1: the slowest-falling terms
+        d = params.p.denominator * params.N
+        params = Params.exact(params.N, p=Fraction(d - 1, d * params.N))
+    assert rounded_avalanche_mean(params) == float(avalanche_mean(params))
+
+
+def test_rounded_avalanche_mean_needs_exact_params():
+    with pytest.raises(ValueError):
+        rounded_avalanche_mean(Params.stable(10, alpha=0.5))
