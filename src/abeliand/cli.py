@@ -30,7 +30,7 @@ _MAX_FAILURES_SHOWN = 20
 # Exact `pmf` end to end takes 1.0 s at N = 1000 and 5.3 s at N = 2000, of
 # which 3.0 s is the decimal conversion of its ~7000-digit integers, which
 # grows with the square of their length.  Float `pmf` at N = 10^6 takes
-# 2.7 s end to end and peaks at 191 MB, growing linearly in N.
+# 2.8 s end to end and peaks at 176 MB, growing linearly in N.
 PMF_MAX_N = {"exact": 2000, "float": 10**6}
 
 
