@@ -279,10 +279,31 @@ def total_variation(counts: dict[int, int], M: int, table: dist.PmfTable) -> flo
     )
 
 
-def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
-    # Imported on first use, so importing verify (and the CLI) skips scipy.
-    from scipy import stats as scipy_stats
+def _chi2_sf(x: float, k: int) -> float:
+    """Upper tail P(X >= x) of the chi-square law with k >= 1 degrees of freedom.
 
+    Closed form for integer k, with h = x/2: for even k,
+    exp(-h) * sum_{j < k/2} h^j / j!; for odd k,
+    erfc(sqrt(h)) + exp(-h) * sum_{j=1}^{(k-1)/2} h^(j-1/2) / Gamma(j+1/2).
+    Every term is positive, so nothing cancels.  Tested against mpmath to
+    1e-13 relative for k <= 60 and x <= 400 wherever the tail exceeds 1e-300.
+    """
+    h = 0.5 * x
+    if k % 2 == 0:
+        total = term = math.exp(-h)
+        for j in range(1, k // 2):
+            term *= h / j
+            total += term
+        return total
+    total = math.erfc(math.sqrt(h))
+    term = math.exp(-h) * math.sqrt(h) / math.gamma(1.5)
+    for j in range(1, (k + 1) // 2):
+        total += term
+        term *= h / (j + 0.5)
+    return total
+
+
+def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     r = SuiteResult("sampler")
     small = sampler.monte_carlo(Params.stable(4, p=0.2), 2000, seed)
     again = sampler.monte_carlo(Params.stable(4, p=0.2), 2000, seed)
@@ -292,8 +313,15 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
         "empirical counts do not sum to M",
     )
 
-    exact = Params.exact(10, p=Fraction(2, 25))
-    stats = sampler.monte_carlo(Params.stable(10, p=float(Fraction(2, 25))), samples, seed)
+    # One draw per point: the N=10 point (p = 2/25) also serves the TV check.
+    points = {N: Fraction(4, 5 * N) for N in (3, 5, 10)}
+    draws = {
+        N: sampler.monte_carlo(Params.stable(N, p=float(p)), samples, seed)
+        for N, p in points.items()
+    }
+
+    exact = Params.exact(10, p=points[10])
+    stats = draws[10]
     table = dist.pmf_table("avalanche", exact)
     tv = total_variation(stats.empirical_pmf, stats.M, table)
     r.check(tv < 0.005, f"TV distance {tv:.5f} >= 0.005 at N=10, p=0.08")
@@ -303,14 +331,16 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
         f"empirical mean off by {gap:.5f} (> 4 stderr) at N=10, p=0.08",
     )
 
-    for N in (3, 5, 10):
-        p = Fraction(4, 5 * N)
+    for N, p in points.items():
         ex = Params.exact(N, p=p)
-        st = sampler.monte_carlo(Params.stable(N, p=float(p)), samples, seed)
+        st = draws[N]
         expected = [float(q) * st.M for q in dist.pmf_table("avalanche", ex).probs_exact]
         scale = st.M / math.fsum(expected)
-        observed = [st.empirical_pmf.get(b, 0) for b in range(N + 1)]
-        pvalue = scipy_stats.chisquare(observed, [e * scale for e in expected]).pvalue
+        chi2 = math.fsum(
+            (st.empirical_pmf.get(b, 0) - e * scale) ** 2 / (e * scale)
+            for b, e in enumerate(expected)
+        )
+        pvalue = _chi2_sf(chi2, N)  # N + 1 cells: N degrees of freedom
         r.check(
             pvalue >= 1e-4,
             f"chi-square rejects at N={N}, p=0.8/{N}: p-value {pvalue:.2e}",

@@ -264,6 +264,28 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_verify_sampler_leaves_scipy_unloaded():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    # 20000 draws run the whole suite quickly; its thresholds assume 1e6, so
+    # the TV check may fail here, which does not matter to this test.
+    code = (
+        "import sys\n"
+        "from abeliand.cli import main\n"
+        "main(['verify', '--suite', 'sampler', '--samples', '20000'])\n"
+        "print('scipy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert "sampler (10 checks" in lines[0]
+    assert lines[-1] == "False"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "stirling")
     assert code == 0
