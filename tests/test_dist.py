@@ -352,7 +352,8 @@ def test_exact_series_match_term_by_term_oracle(N):
 
 # float.hex of (avalanche_mean, E[Z^2], variance).  Any change to the
 # series' factor order, its 1e-25 cut, or the single fsum over the whole
-# second-moment bracket moves these bits.
+# second-moment bracket moves these bits; the entries above N = 1000 pin
+# the J-tail form of E[Z^2] the same way.
 FLOAT_PINS = {
     (1, 1e-07): (
         "0x1.ad7f29abcaf48p-24",
@@ -478,6 +479,81 @@ FLOAT_PINS = {
         "0x1.ef2ff24640b19p+4",
         "0x1.ed93c7ae4d17cp+15",
         "0x1.ace4c2c13b0d8p+15",
+    ),
+    (1001, 1e-07): (
+        "0x1.ad7f2c7ba6219p-24",
+        "0x1.000005073407bp+0",
+        "0x1.ad115aa000000p-24",
+    ),
+    (1001, 0.5): (
+        "0x1.fefb6a56f8893p-1",
+        "0x1.fcf46f6c5f074p+2",
+        "0x1.faee5c5717badp+1",
+    ),
+    (1001, 0.999999): (
+        "0x1.3a93804677ce7p+5",
+        "0x1.e8c0301d4fd7bp+19",
+        "0x1.e0c0753ef9400p+9",
+    ),
+    (2000, 1e-07): (
+        "0x1.ad7f2c7c022e3p-24",
+        "0x1.00000507d8a0ap+0",
+        "0x1.ad48385000000p-24",
+    ),
+    (2000, 0.5): (
+        "0x1.ff7d411cb293fp-1",
+        "0x1.fe7850d1d8655p+2",
+        "0x1.fd739aec1fba0p+1",
+    ),
+    (2000, 0.999999): (
+        "0x1.bdbc35d282795p+5",
+        "0x1.e747cde6643a4p+21",
+        "0x1.e41e9b8a86600p+12",
+    ),
+    (10000, 1e-07): (
+        "0x1.ad7f2c7c4bf7bp-24",
+        "0x1.000005085c91ap+0",
+        "0x1.ad74335000000p-24",
+    ),
+    (10000, 0.5): (
+        "0x1.ffe5cc775f19fp-1",
+        "0x1.ffb16b1816552p+2",
+        "0x1.ff7d0c116ddf7p+1",
+    ),
+    (10000, 0.999999): (
+        "0x1.f3f4dc86878cap+6",
+        "0x1.79a5769aa855ap+26",
+        "0x1.d89e6b7090f80p+19",
+    ),
+    (100000, 1e-07): (
+        "0x1.ad7f2c7c5c91dp-24",
+        "0x1.000005087a417p+0",
+        "0x1.ad7e18a000000p-24",
+    ),
+    (100000, 0.5): (
+        "0x1.fffd60f1e5bb7p-1",
+        "0x1.fff822e449ec4p+2",
+        "0x1.fff2e4dcb1422p+1",
+    ),
+    (100000, 0.999999): (
+        "0x1.8be655c396b4cp+8",
+        "0x1.0ed2ce3f6e7dap+33",
+        "0x1.885d7f94d1b28p+29",
+    ),
+    (1000000, 1e-07): (
+        "0x1.ad7f2c7c5e3adp-24",
+        "0x1.000005087d397p+0",
+        "0x1.ad7f160000000p-24",
+    ),
+    (1000000, 0.5): (
+        "0x1.ffffbce4377a9p-1",
+        "0x1.ffff36accfd45p+2",
+        "0x1.fffeb0757792bp+1",
+    ),
+    (1000000, 0.999999): (
+        "0x1.38fed17434d7ep+10",
+        "0x1.d1143867a76c4p+38",
+        "0x1.d07f082abe1ddp+37",
     ),
 }
 

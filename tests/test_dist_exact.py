@@ -13,6 +13,7 @@ from abeliand.dist import (
     Params,
     abelian_second_moment,
     avalanche_mean,
+    j_decomposition,
     normalization_C,
     pmf,
     pmf_table,
@@ -162,6 +163,44 @@ def test_exact_series_pinned(p_name):
     params = Params.exact(1000, p=pin_ps(1000)[p_name])
     got = [avalanche_mean(params), abelian_second_moment(params)]
     assert sha(hex_text(got)) == EXACT_MOMENT_PINS[p_name]
+
+
+# sha256 of hex_text([J1, J2, J3, J4, J5, J6, C, E[Z^2]]).  J4, J5 and J6
+# are 0 at N = 2; J6 is 0 at N = 3 and 4, where the split index k* is past
+# the last term; at N = 8, 9 and 200 the terms split at k* < N - 2.
+EXACT_J_PINS = {
+    (2, "1/2"):
+        "13177d68e4c16c71669f9c12e21cce70b8d187478f1bf3fdf3faadb6946938d6",
+    (2, "9/10"):
+        "3e713ba2f968d6cd761ee227d89f9df0f02616cec4e1dae6892b00623e6f38d8",
+    (3, "1/2"):
+        "61cb0add9bf994eef26c969ae7b0ca2c951c9b2f0343ae21fde534b578a8bd0e",
+    (3, "9/10"):
+        "94ae6215326b86f5f31a11a5567213ebdf7bdf9704201e61bfece2f9682eb162",
+    (4, "1/2"):
+        "f42e8c6439358c72d9d5040a1de81035948a03ec94db99612ad4fb36562fe4dd",
+    (4, "9/10"):
+        "4a2069a2961610b4ee6a7715dfb1fe2dc7be0863f255ad00fb320c228fdd1b62",
+    (8, "1/2"):
+        "046a2ce99b150f8f8a06ad66886cf8d7e46ad81e226df314c72c37a051fc30e8",
+    (8, "9/10"):
+        "b26a35a1ca06816ed503f6b65ee7a37a8f47705e6f6e268dfb9d8fe7ef744a9a",
+    (9, "1/2"):
+        "bab55a34d5dc18705c74e07982cc57e2fdb09ff579b8ea0837d493d7050bae9d",
+    (9, "9/10"):
+        "0403d672584b2be9430690f1c7f24533a91b179b4c304baa02fd3fadec3a45c2",
+    (200, "1/2"):
+        "ef89f750aeb16f6cf3ffc1af52018686d64615f099ed239d91dadb3cc5701657",
+    (200, "9/10"):
+        "7bedd97eae0ef4bda8e29f1001213ad5b274b1b7a6d5e4207675d6566fbb8edb",
+}
+
+
+@pytest.mark.parametrize(("N", "alpha"), list(EXACT_J_PINS))
+def test_j_decomposition_pinned(N, alpha):
+    j = j_decomposition(Params.exact(N, alpha=Fraction(alpha)))
+    got = [j.J1, j.J2, j.J3, j.J4, j.J5, j.J6, j.C, j.second_moment]
+    assert sha(hex_text(got)) == EXACT_J_PINS[N, alpha]
 
 
 # The exact terms as they were first written: one Fraction product per
