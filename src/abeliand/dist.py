@@ -4,9 +4,9 @@ Two evaluation modes share one API.  Exact mode returns
 ``fractions.Fraction`` values, so normalization, moment identities and the
 J-term rewrite of the second moment can be asserted with equality.  It
 computes in integers: with p = a/d in lowest terms, a table entry is one
-integer numerator over one shared power of d, reduced by the few small
-primes the two can share, and a series is one integer numerator over d^n,
-reduced once.  Float mode evaluates PMFs in log space (log-gamma binomials,
+integer numerator, a product of (base, exponent) factors, over one shared
+power of d, reduced by _reduced over the few small primes the two can
+share, and a series is one integer numerator over d^n, reduced once.  Float mode evaluates PMFs in log space (log-gamma binomials,
 log1p) and keeps only their exponentials: one numpy kernel per family maps
 a block of support points to log terms, reading log-factorials from one
 table built per pmf_table call.  Tables come back as read-only float64
@@ -21,7 +21,7 @@ single compensated fsum and switches to the J-term tail form for large N,
 where the bracket cancels catastrophically.  Exact mode builds the same
 series as S_n = sum_i (n)_i a^i d^(n-i) by an integer recurrence.  The
 exact J-term rewrite evaluates the Stirling-row polynomials P_i(N) by
-integer Horner.
+integer Horner, and J2..J6 each as one Horner evaluation in p or alpha.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
 shifted Avalanche family (Avalanche + 1) on {1..N+1}.  The shared parameter
@@ -186,20 +186,6 @@ def _valuation(x: int, q: int) -> int:
     return v
 
 
-def _factorial_valuation(n: int, q: int) -> int:
-    """Exponent of the prime q in n! (Legendre)."""
-    v = 0
-    while n:
-        n //= q
-        v += n
-    return v
-
-
-def _binomial_valuation(n: int, k: int, q: int) -> int:
-    """Exponent of the prime q in C(n, k)."""
-    return _factorial_valuation(n, q) - _factorial_valuation(k, q) - _factorial_valuation(n - k, q)
-
-
 def _small_prime_factors(d: int, bound: int) -> list[tuple[int, int]]:
     """(q, v_q(d)) for every prime q <= bound that divides d."""
     out = []
@@ -215,11 +201,30 @@ def _small_prime_factors(d: int, bound: int) -> list[tuple[int, int]]:
 
 # The exact terms put p = a/d (in lowest terms) over one power of d, so a
 # probability is one integer numerator over one shared integer denominator.
-# The numerator shares with d only primes q <= N+1: gcd(a, d) = 1,
+# The numerator is a product of factors x^e (the binomial is one of them),
+# and it shares with d only primes q <= N+1: gcd(a, d) = 1,
 # gcd(d - k*a, d) = gcd(k, d), and the other factors (binomials, b^(b-2),
-# (b+1)^(b-1)) have no prime above N+1.  So the common factor is the
-# product of q^min(v_q(num), v_q(den)) over those q, each v_q summed from
-# the small factors, and no gcd of two big integers is taken.
+# (b+1)^(b-1)) have no prime above N+1.  So _reduced strips the common
+# factor q^min(v_q(num), v_q(den)) over those q, each v_q summed from the
+# factors, and takes no gcd of two big integers.
+
+
+def _reduced(factors, den: int, primes, rest: int = 1) -> Fraction:
+    """prod(x**e for x, e in factors) / den in lowest terms.
+
+    ``primes`` holds (q, v_q(den)) for every prime q the numerator can share
+    with den outside ``rest``, a factor of den coprime to each such q; the
+    rest of the common factor divides ``rest`` and is found by one gcd.  A
+    factor with exponent 0 is 1 whatever its base, even a base <= 0.
+    """
+    num = math.prod(x**e for x, e in factors)
+    g = 1
+    for q, v_den in primes:
+        v_num = sum(e * _valuation(x, q) for x, e in factors if e)
+        g *= q ** min(v_num, v_den)
+    num //= g
+    g2 = math.gcd(num, rest)
+    return _coprime_fraction(num // g2, den // (g * g2))
 
 
 def _abelian_term(params: Params):
@@ -235,37 +240,19 @@ def _abelian_term(params: Params):
     a, d = params.p.numerator, params.p.denominator
     e = d - (N - 1) * a
     den = e * d ** (N - 2)
-    # (q, v_q(den)) for the primes q <= N+1 of d
     primes = [(q, _valuation(e, q) + (N - 2) * v) for q, v in _small_prime_factors(d, N + 1)]
     # e with the primes of d divided out is coprime to d, so the part of the
-    # common factor not found above divides it
-    e_rest = e
+    # common factor not found from the primes divides it
+    rest = e
     for q, _ in primes:
-        e_rest //= q ** _valuation(e_rest, q)
+        rest //= q ** _valuation(rest, q)
 
     def term(b: int) -> Fraction:
         if b == N:
-            num = a ** (N - 1) * N ** (N - 2)
-        else:
-            num = math.comb(N - 1, b - 1) * a ** (b - 1) * (d - b * a) ** (N - b - 1)
-            num *= d - N * a
-            if b > 1:
-                num *= b ** (b - 2)
-        g = 1
-        for q, v_den in primes:
-            if b == N:
-                v_num = (N - 2) * _valuation(N, q)
-            else:
-                v_num = (
-                    _binomial_valuation(N - 1, b - 1, q)
-                    + (N - b - 1) * _valuation(d - b * a, q)
-                    + max(b - 2, 0) * _valuation(b, q)
-                    + _valuation(d - N * a, q)
-                )
-            g *= q ** min(v_num, v_den)
-        num //= g
-        g2 = math.gcd(num, e_rest)
-        return _coprime_fraction(num // g2, den // (g * g2))
+            return _reduced([(a, N - 1), (N, N - 2)], den, primes, rest)
+        binom = math.comb(N - 1, b - 1)
+        factors = [(binom, 1), (a, b - 1), (d - b * a, N - b - 1), (d - N * a, 1), (b, max(b - 2, 0))]
+        return _reduced(factors, den, primes, rest)
 
     return term
 
@@ -282,17 +269,8 @@ def _avalanche_term(params: Params):
     primes = [(q, N * v) for q, v in _small_prime_factors(d, N + 1)]
 
     def term(b: int) -> Fraction:
-        x = d - (b + 1) * a
-        num = math.comb(N, b) * a**b * x ** (N - b)
-        if b > 1:
-            num *= (b + 1) ** (b - 1)
-        g = 1
-        for q, v_den in primes:
-            v_num = _binomial_valuation(N, b, q) + max(b - 1, 0) * _valuation(b + 1, q)
-            if b < N:
-                v_num += (N - b) * _valuation(x, q)
-            g *= q ** min(v_num, v_den)
-        return _coprime_fraction(num // g, den // g)
+        factors = [(math.comb(N, b), 1), (a, b), (d - (b + 1) * a, N - b), (b + 1, max(b - 1, 0))]
+        return _reduced(factors, den, primes)
 
     return term
 
@@ -488,7 +466,7 @@ def abelian_second_moment(params: Params) -> Number:
         series = (-t for t in _falling_powers(N - 1, p))
         return C / p * math.fsum([1 / (1 - N * p), -1, *series])
     J1 = alpha**N / (p * (1.0 - alpha))
-    return C * (J1 - _float_J3_closed(N, alpha) - _float_J4(N, alpha))
+    return C * (J1 - _float_J3_closed(N, alpha) - math.fsum(_float_J4_terms(N, alpha)))
 
 
 def _float_J3_closed(N: int, alpha: float) -> float:
@@ -502,23 +480,22 @@ def _float_J3_closed(N: int, alpha: float) -> float:
     return -1.0 / one**3 + tail
 
 
-def _float_J4(N: int, alpha: float) -> float:
+def _float_J4_terms(N: int, alpha: float):
     # J4 = sum_i alpha^(i+1) * [N*(Q_i - 1) + (i+2)(i+3)/2] with
     # Q_i = prod_{k=1..i+2} (1 - k/N): the p^(i+1) (N-1)_(i+2) + p^(i+1) h_i(N)
     # split of each P_i term, computed without forming either giant factor.
-    terms = []
+    # Yielded one at a time, so math.fsum holds no list of up to N-2 terms.
     q = (1.0 - 1.0 / N) * (1.0 - 2.0 / N)
     apow = alpha
     for i in range(N - 2):  # i = 0 .. N-3
         if i > 0:
             q *= 1.0 - (i + 2.0) / N
-        terms.append(apow * (N * (q - 1.0) + 0.5 * (i + 2) * (i + 3)))
+        yield apow * (N * (q - 1.0) + 0.5 * (i + 2) * (i + 3))
         apow *= alpha
         # |bracket| <= N + (i+3)(i+4)/2 and <= 2N^2 once the sandwich bound
         # kicks in; either way the geometric tail below is negligible.
         if apow * (2.0 * N * N + (i + 3) * (i + 4) + N) / (1.0 - alpha) < 1e-18:
-            break
-    return math.fsum(terms)
+            return
 
 
 def abelian_variance(params: Params) -> Moments:
@@ -570,24 +547,14 @@ def j_decomposition(params: Params) -> JDecomposition:
 
     C = normalization_C(params)
     J1 = alpha**N / (p * (1 - alpha))
-    J2 = sum(
-        (p ** (i - 1) * horner(stirling_row(i).coeffs[:i], N) for i in range(1, N)),
-        start=Fraction(0),
-    )
-    J3 = -sum(
-        (alpha**i * Fraction((i + 1) * (i + 2), 2) for i in range(N - 1)),
-        start=Fraction(0),
-    )
+    J2 = horner([horner(stirling_row(i).coeffs[:i], N) for i in range(1, N)], p)
+    J3 = -horner([(i + 1) * (i + 2) // 2 for i in range(N - 1)], alpha)
     # P_i(N): row i+2 without its two top coefficients, i = 0 .. N-3
     p_values = [horner(stirling_row(i + 2).coeffs[: i + 1], N) for i in range(N - 2)]
-    J4 = p * sum((p**i * v for i, v in enumerate(p_values)), start=Fraction(0))
     kstar = split_index(N)
-    J5 = p * sum(
-        (p**i * v for i, v in enumerate(p_values) if i < kstar), start=Fraction(0)
-    )
-    J6 = p * sum(
-        (p**i * v for i, v in enumerate(p_values) if i >= kstar), start=Fraction(0)
-    )
+    J4 = p * horner(p_values, p)
+    J5 = p * horner(p_values[:kstar], p)
+    J6 = p ** (kstar + 1) * horner(p_values[kstar:], p)
     second = abelian_second_moment(params)
 
     if J2 != J3 + J4:

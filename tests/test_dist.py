@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -288,8 +289,20 @@ class TestFloatPath:
     def test_float_j4_matches_exact(self):
         for N in (50, 200):
             jd = j_decomposition(Params.exact(N, alpha=Fraction(1, 2)))
-            approx = dist._float_J4(N, 0.5)
+            approx = math.fsum(dist._float_J4_terms(N, 0.5))
             assert approx == pytest.approx(float(jd.J4), rel=1e-9, abs=1e-12)
+
+    def test_float_j4_streams_its_terms(self):
+        # At N = 5e4, alpha = 0.999999 no J4 term reaches the cut: a list of
+        # the N - 2 terms would hold ~1.6 MB, the generator one at a time.
+        params = Params.stable(50_000, alpha=0.999999)
+        tracemalloc.start()
+        try:
+            abelian_second_moment(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_stable_high_alpha_no_overflow(self):
         v = abelian_variance(Params.stable(1000, alpha=0.9)).variance
