@@ -4,9 +4,9 @@ Two evaluation modes share one API.  Exact mode returns
 ``fractions.Fraction`` values, so normalization, moment identities and the
 J-term rewrite of the second moment can be asserted with equality.  It
 computes in integers: with p = a/d in lowest terms, a table entry is one
-integer numerator, a product of (base, exponent) factors, over one shared
-power of d, reduced by _reduced over the few small primes the two can
-share, and a series is one integer numerator over d^n, reduced once.  Float mode evaluates PMFs in log space (log-gamma binomials,
+integer numerator over one shared power of d, reduced by the few small
+primes the two can share, and a series is one integer numerator over d^n,
+reduced once.  Float mode evaluates PMFs in log space (log-gamma binomials,
 log1p) and keeps only their exponentials: one numpy kernel per family maps
 a block of support points to log terms, reading log-factorials from one
 table built per pmf_table call.  Tables come back as read-only float64
@@ -240,19 +240,20 @@ def _abelian_term(params: Params):
     a, d = params.p.numerator, params.p.denominator
     e = d - (N - 1) * a
     den = e * d ** (N - 2)
+    # (q, v_q(den)) for the primes q <= N+1 of d
     primes = [(q, _valuation(e, q) + (N - 2) * v) for q, v in _small_prime_factors(d, N + 1)]
     # e with the primes of d divided out is coprime to d, so the part of the
-    # common factor not found from the primes divides it
-    rest = e
+    # common factor not found above divides it
+    e_rest = e
     for q, _ in primes:
-        rest //= q ** _valuation(rest, q)
+        e_rest //= q ** _valuation(e_rest, q)
 
     def term(b: int) -> Fraction:
         if b == N:
-            return _reduced([(a, N - 1), (N, N - 2)], den, primes, rest)
+            return _reduced([(a, N - 1), (N, N - 2)], den, primes, e_rest)
         binom = math.comb(N - 1, b - 1)
         factors = [(binom, 1), (a, b - 1), (d - b * a, N - b - 1), (d - N * a, 1), (b, max(b - 2, 0))]
-        return _reduced(factors, den, primes, rest)
+        return _reduced(factors, den, primes, e_rest)
 
     return term
 
