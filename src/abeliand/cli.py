@@ -222,8 +222,8 @@ def run_verify(args) -> int:
     return 0
 
 
-def _add_param_flags(parser, require_n=True):
-    parser.add_argument("--N", type=int, required=require_n, help="population size N")
+def _add_param_flags(parser):
+    parser.add_argument("--N", type=int, required=True, help="population size N")
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", help="alpha = N*p as a fraction string or decimal")
     group.add_argument("--p", help="p as a fraction string or decimal")

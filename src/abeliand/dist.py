@@ -37,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .stirling import horner, split_index, stirling_row
+from .stirling import horner, poly_P, split_index, stirling_row
 
 FAMILIES = ("abelian", "avalanche", "shifted")
 
@@ -451,21 +451,17 @@ def rounded_avalanche_mean(params: Params) -> float:
 
 
 def abelian_second_moment(params: Params) -> Number:
-    """E(Z^2) = (C/p) * [1/(1-Np) - 1 - sum_{i=1..N-1} (N-1)_i p^i]."""
+    """E(Z^2) = (C/p) * [Np/(1-Np) - sum_{i=1..N-1} (N-1)_i p^i]."""
     N, p, alpha = params.N, params.p, params.alpha
-    if params.is_exact:
-        # with p = a/d and S = S_(N-1): E(Z^2) =
-        # d (N a d^(N-1) - (d - N a) S) / ((d - (N-1) a) a d^(N-1))
-        a, d = p.numerator, p.denominator
-        s, dn = _falling_power_sum(N - 1, a, d)
-        return Fraction(d * (N * a * dn - (d - N * a) * s), (d - (N - 1) * a) * a * dn)
     C = normalization_C(params)
+    head = N * p / (1 - N * p)
+    if params.is_exact:
+        return C / p * (head - Fraction(*_falling_power_sum(N - 1, p.numerator, p.denominator)))
     if N <= _FLOAT_TAIL_N:
         # fsum rounds once over all the terms: the bracket must go through it
-        # whole, or the cancellation between 1/(1-Np) - 1 and the series
-        # rounds differently.
-        series = (-t for t in _falling_powers(N - 1, p))
-        return C / p * math.fsum([1 / (1 - N * p), -1, *series])
+        # whole, or the cancellation between the head and the series rounds
+        # differently.
+        return C / p * math.fsum([head, *(-t for t in _falling_powers(N - 1, p))])
     J1 = alpha**N / (p * (1.0 - alpha))
     return C * (J1 - _float_J3_closed(N, alpha) - math.fsum(_float_J4_terms(N, alpha)))
 
@@ -506,30 +502,33 @@ def abelian_variance(params: Params) -> Moments:
     return Moments(mean, second, second - mean * mean, params.mode)
 
 
-def brute_force_moment(family: str, params: Params, k: int) -> Number:
-    """k-th raw moment by direct summation over the whole ``pmf_table``.
+def _raw_moments(family: str, params: Params, orders) -> list[Number]:
+    """Raw moments of each order in ``orders``, summed over one ``pmf_table``.
 
-    The exact-mode oracle for every closed form; cost-guarded to N <= 30.
-    Float mode sums the float table instead and carries no guard.
+    Exact mode is cost-guarded to N <= 30; float mode sums the float table
+    instead and carries no guard.
     """
-    if k < 0:
+    if min(orders) < 0:
         raise ValueError("k must be non-negative")
-    exact = params.is_exact
-    if exact and params.N > _BRUTE_FORCE_N_MAX:
+    if params.is_exact and params.N > _BRUTE_FORCE_N_MAX:
         raise ValueError(f"exact brute force guarded to N <= {_BRUTE_FORCE_N_MAX}")
     table = pmf_table(family, params)
-    if exact:
-        terms = (Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact))
-        return sum(terms, start=Fraction(0))
-    return math.fsum(float(b) ** k * q for b, q in zip(table.support, table.probs_float.tolist()))
+    if params.is_exact:
+        return [sum(Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact)) for k in orders]
+    probs = table.probs_float.tolist()
+    return [math.fsum(float(b) ** k * q for b, q in zip(table.support, probs)) for k in orders]
+
+
+def brute_force_moment(family: str, params: Params, k: int) -> Number:
+    """k-th raw moment by direct summation: the exact oracle for every closed form."""
+    return _raw_moments(family, params, (k,))[0]
 
 
 def moments(family: str, params: Params) -> Moments:
-    """Moments for any family: closed forms for Abelian, summation otherwise."""
+    """Moments for any family: closed forms for Abelian, one table otherwise."""
     if family == "abelian":
         return abelian_variance(params)
-    m1 = brute_force_moment(family, params, 1)
-    m2 = brute_force_moment(family, params, 2)
+    m1, m2 = _raw_moments(family, params, (1, 2))
     return Moments(m1, m2, m2 - m1 * m1, params.mode)
 
 
@@ -550,8 +549,7 @@ def j_decomposition(params: Params) -> JDecomposition:
     J1 = alpha**N / (p * (1 - alpha))
     J2 = horner([horner(stirling_row(i).coeffs[:i], N) for i in range(1, N)], p)
     J3 = -horner([(i + 1) * (i + 2) // 2 for i in range(N - 1)], alpha)
-    # P_i(N): row i+2 without its two top coefficients, i = 0 .. N-3
-    p_values = [horner(stirling_row(i + 2).coeffs[: i + 1], N) for i in range(N - 2)]
+    p_values = [poly_P(i)(N) for i in range(N - 2)]
     kstar = split_index(N)
     J4 = p * horner(p_values, p)
     J5 = p * horner(p_values[:kstar], p)

@@ -41,12 +41,16 @@ class StirlingRow:
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense polynomial with exact rational coefficients, ascending degree."""
+    """Dense polynomial with exact coefficients, ascending degree.
 
-    coeffs: tuple[Fraction, ...]
+    Int coefficients stay ints and any other coefficient becomes a Fraction,
+    so an integer polynomial evaluates at an integer in integer arithmetic.
+    """
+
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        cs = [Fraction(c) for c in self.coeffs]
+        cs = [c if isinstance(c, int) else Fraction(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -57,14 +61,12 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        return horner(self.coeffs, x, Fraction(0))
+        return horner(self.coeffs, x)
 
 
-def horner(coeffs, x, acc=0):
-    """sum(c * x**j for j, c in enumerate(coeffs)) by Horner's rule.
-
-    ``acc`` is the starting value, so it is what empty ``coeffs`` give.
-    """
+def horner(coeffs, x):
+    """sum(c * x**j for j, c in enumerate(coeffs)) by Horner's rule; 0 if empty."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -140,17 +142,14 @@ def poly_P(i: int) -> Polynomial:
     """
     if i < 0:
         raise ValueError("i must be non-negative")
-    row = stirling_row(i + 2).coeffs
-    return Polynomial(tuple(Fraction(c) for c in row[: i + 1]))
+    return Polynomial(stirling_row(i + 2).coeffs[: i + 1])
 
 
 def poly_h(i: int) -> Polynomial:
     """x^(i+1) * ((i+2)(i+3)/2 - x), degree i+2, leading coefficient -1."""
     if i < 0:
         raise ValueError("i must be non-negative")
-    lead = (i + 2) * (i + 3) // 2
-    coeffs = [Fraction(0)] * (i + 1) + [Fraction(lead), Fraction(-1)]
-    return Polynomial(tuple(coeffs))
+    return Polynomial((0,) * (i + 1) + ((i + 2) * (i + 3) // 2, -1))
 
 
 def bound_f(i: int) -> int:
@@ -214,12 +213,11 @@ def check_lemma_P(i: int, N: int) -> LemmaPCertificate:
         raise ValueError("i must be >= 1")
     if N - 3 < i:
         raise ValueError(f"need N - 3 >= i, got i={i}, N={N}")
-    row = stirling_row(i + 2).coeffs
-    p_at_N = horner(row[: i + 1], N)
+    p_at_N = poly_P(i)(N)
     falling_part = falling_factorial(N - 1, i + 2)
-    h_part = N ** (i + 1) * ((i + 2) * (i + 3) // 2 - N)
+    h_part = poly_h(i)(N)
     equality = p_at_N == falling_part + h_part
-    gate = i * i >= 2 * N
+    gate = i >= split_index(N)
     inequalities = None
     if gate:
         inequalities = (
@@ -242,12 +240,13 @@ def check_bound_f(i: int, j: int) -> BoundFCertificate:
 def check_product_bound(i: int, N: int) -> ProductBoundCertificate:
     """Certify prod_{j=1..i} (1 + j/N) <= e^2 for 0 <= i < sqrt(2N).
 
-    The sqrt gate is the exact integer test i^2 < 2N.  The right-hand side
-    is E2_LOWER < e^2, so holds=True implies the real inequality.
+    The sqrt gate is i < split_index(N), the exact integer form of i^2 < 2N.
+    The right-hand side is E2_LOWER < e^2, so holds=True implies the real
+    inequality.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if i < 0 or i * i >= 2 * N:
+    if not 0 <= i < split_index(N):
         raise ValueError(f"need 0 <= i < sqrt(2N), got i={i}, N={N}")
     product = Fraction(math.prod(range(N + 1, N + i + 1)), N**i)
     return ProductBoundCertificate(i, N, product, E2_LOWER, product <= E2_LOWER)
