@@ -106,17 +106,20 @@ def test_polynomial_normalization():
     assert Polynomial(()).degree == -1
     assert Polynomial((Fraction(0),)).degree == -1
     assert p(3) == 7
+    assert Polynomial((1, Fraction(1, 2), 0.25)).coeffs == (1, Fraction(1, 2), Fraction(1, 4))
 
 
 def test_poly_P_values():
     assert poly_P(0).coeffs == (Fraction(2),)
     assert poly_P(1).coeffs == (Fraction(-6), Fraction(11))
     assert poly_P(1)(4) == 38
+    assert type(poly_P(1)(4)) is int  # integer coefficients at an integer N
     assert poly_P(5).degree == 5
 
 
 def test_poly_h_values():
     assert poly_h(1)(4) == 32
+    assert type(poly_h(1)(4)) is int
     assert poly_h(0)(3) == 0  # root at (i+2)(i+3)/2
     assert poly_h(1).coeffs[-1] == -1
     assert poly_h(4).degree == 6
