@@ -3,17 +3,19 @@
 Two evaluation modes share one API.  Exact mode returns
 ``fractions.Fraction`` values, so normalization, moment identities and the
 J-term rewrite of the second moment can be asserted with equality.  It
-computes in integers: with p = a/d in lowest terms, a table entry is one
-integer numerator over one shared power of d, reduced by the few small
-primes the two can share, and a series is one integer numerator over d^n,
-reduced once.  Float mode evaluates PMFs in log space (log-gamma binomials,
-log1p) and keeps only their exponentials: one numpy kernel per family maps
-a block of support points to log terms, reading log-factorials from one
-table built per pmf_table call.  Tables come back as read-only float64
-arrays, filled in blocks of _BLOCK points.  In either mode scalar pmf runs
-the table's own per-entry kernel (in float mode on a one-point block), so
-it returns the same value as the table.  The float transcendental functions
-are Python's math.* ones, mapped over each block.
+computes in integers: with p = a/d in lowest terms, an Avalanche entry at N
+is one integer numerator over d^N, reduced by the primes q <= N+1 the two
+can share, and a series is one integer numerator over d^n, reduced once.
+The Abelian entry is the Avalanche entry at N-1 times a ratio of small
+integers, P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).  Float mode
+evaluates PMFs in log space (log-gamma binomials, log1p) and keeps only
+their exponentials: one numpy kernel per family maps a block of support
+points to log terms, reading log-factorials from one table built per
+pmf_table call.  Tables come back as read-only float64 arrays, filled in
+blocks of _BLOCK points.  In either mode scalar pmf runs the table's own
+per-entry kernel (in float mode on a one-point block), so it returns the
+same value as the table.  The float transcendental functions are Python's
+math.* ones, mapped over each block.
 
 Float mode takes E(X) and the second-moment bracket from one running
 product of the falling-power terms (n)_i p^i, sums the bracket with a
@@ -199,73 +201,37 @@ def _small_prime_factors(d: int, bound: int) -> list[tuple[int, int]]:
     return out
 
 
-# The exact terms put p = a/d (in lowest terms) over one power of d, so a
-# probability is one integer numerator over one shared integer denominator.
-# The numerator is a product of factors x^e (the binomial is one of them),
-# and it shares with d only primes q <= N+1: gcd(a, d) = 1,
-# gcd(d - k*a, d) = gcd(k, d), and the other factors (binomials, b^(b-2),
-# (b+1)^(b-1)) have no prime above N+1.  So _reduced strips the common
-# factor q^min(v_q(num), v_q(den)) over those q, each v_q summed from the
-# factors, and takes no gcd of two big integers.
+# With p = a/d in lowest terms, an Avalanche probability at N is one integer
+# numerator over d^N.  The numerator is a product of factors x^e (the
+# binomial is one of them), and it shares with d^N only primes q <= N+1:
+# gcd(a, d) = 1, gcd(d - k*a, d) = gcd(k, d), and the other factors
+# (binomials, (b+1)^(b-1)) have no prime above N+1.  So _reduced strips the
+# common factor q^min(v_q(num), v_q(den)) over those q, each v_q summed from
+# the factors, and takes no gcd at all.
 
 
-def _reduced(factors, den: int, primes, rest: int = 1) -> Fraction:
+def _reduced(factors, den: int, primes) -> Fraction:
     """prod(x**e for x, e in factors) / den in lowest terms.
 
     ``primes`` holds (q, v_q(den)) for every prime q the numerator can share
-    with den outside ``rest``, a factor of den coprime to each such q; the
-    rest of the common factor divides ``rest`` and is found by one gcd.  A
-    factor with exponent 0 is 1 whatever its base, even a base <= 0.
+    with den.  A factor with exponent 0 is 1 whatever its base, even a base
+    <= 0.
     """
     num = math.prod(x**e for x, e in factors)
     g = 1
     for q, v_den in primes:
         v_num = sum(e * _valuation(x, q) for x, e in factors if e)
         g *= q ** min(v_num, v_den)
-    num //= g
-    g2 = math.gcd(num, rest)
-    return _coprime_fraction(num // g2, den // (g * g2))
+    return _coprime_fraction(num // g, den // g)
 
 
-def _abelian_term(params: Params):
-    """b -> P(Z = b) over the shared denominator (d - (N-1)a) d^(N-2).
-
-    For b < N the numerator is C(N-1,b-1) a^(b-1) (d-ba)^(N-b-1) b^(b-2)
-    (d-Na), with b^(b-2) read as 1 at b = 1; at b = N the factor
-    (d-Na)^(-1) cancels C's (d-Na), leaving a^(N-1) N^(N-2).
-    """
-    N = params.N
-    if N == 1:
-        return lambda b: Fraction(1)
-    a, d = params.p.numerator, params.p.denominator
-    e = d - (N - 1) * a
-    den = e * d ** (N - 2)
-    # (q, v_q(den)) for the primes q <= N+1 of d
-    primes = [(q, _valuation(e, q) + (N - 2) * v) for q, v in _small_prime_factors(d, N + 1)]
-    # e with the primes of d divided out is coprime to d, so the part of the
-    # common factor not found above divides it
-    e_rest = e
-    for q, _ in primes:
-        e_rest //= q ** _valuation(e_rest, q)
-
-    def term(b: int) -> Fraction:
-        if b == N:
-            return _reduced([(a, N - 1), (N, N - 2)], den, primes, e_rest)
-        binom = math.comb(N - 1, b - 1)
-        factors = [(binom, 1), (a, b - 1), (d - b * a, N - b - 1), (d - N * a, 1), (b, max(b - 2, 0))]
-        return _reduced(factors, den, primes, e_rest)
-
-    return term
-
-
-def _avalanche_term(params: Params):
+def _avalanche_term(N: int, p: Fraction):
     """b -> P(X = b) = C(N,b) a^b (d-(b+1)a)^(N-b) (b+1)^(b-1) / d^N.
 
     The factor (d-(b+1)a)^(N-b) is 1 at b = N, where its base may be <= 0,
-    and (b+1)^(b-1) is 1 at b = 0.
+    and (b+1)^(b-1) is 1 at b = 0.  N = 0 is allowed: its one entry is 1.
     """
-    N = params.N
-    a, d = params.p.numerator, params.p.denominator
+    a, d = p.numerator, p.denominator
     den = d**N
     primes = [(q, N * v) for q, v in _small_prime_factors(d, N + 1)]
 
@@ -274,6 +240,18 @@ def _avalanche_term(params: Params):
         return _reduced(factors, den, primes)
 
     return term
+
+
+def _abelian_term(N: int, p: Fraction):
+    """b -> P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).
+
+    With p = a/d the weight C/(1 - bp) is (d-Na) d / ((d-(N-1)a)(d-ba)), a
+    ratio of small integers (at b = N its (d-Na) cancels), so multiplying
+    by it takes gcds of a big integer against a small one only.
+    """
+    a, d = p.numerator, p.denominator
+    avalanche = _avalanche_term(N - 1, p)
+    return lambda b: avalanche(b - 1) * Fraction((d - N * a) * d, (d - (N - 1) * a) * (d - b * a))
 
 
 def _map(f, x: np.ndarray) -> np.ndarray:
@@ -320,7 +298,7 @@ def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial) -> np.nda
     return lp + tail
 
 
-# family -> (exact term, log block, shift): P(family = b) is term(params) at
+# family -> (exact term, log block, shift): P(family = b) is term(N, p) at
 # b - shift, for b in support(family, N) only; the log block maps an array
 # of such b - shift to log probabilities.
 _TERMS = {
@@ -346,7 +324,7 @@ def pmf(family: str, params: Params, b: int) -> Number:
         raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
     if params.is_exact:
         exact_term, _, shift = _TERMS[family]
-        return exact_term(params)(b - shift)
+        return exact_term(params.N, params.p)(b - shift)
     return _float_block(family, params, np.array([b]), _log_factorial)[0].item()
 
 
@@ -370,7 +348,7 @@ def pmf_table(family: str, params: Params) -> PmfTable:
     sup = support(family, params.N)
     if params.is_exact:
         exact_term, _, shift = _TERMS[family]
-        term = exact_term(params)
+        term = exact_term(params.N, params.p)
         probs = tuple(term(b - shift) for b in sup)
         return PmfTable(family, params, sup, probs, None)
     # log j! for j = 0..N, looked up by every block; a range, not an array,

@@ -316,6 +316,30 @@ def test_verify_multiple_suites_reduced(capsys):
     assert out.splitlines()[1].startswith("PASS moments")
 
 
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--max-n", "0"), ("--max-n", "-3"), ("--samples", "0"), ("--samples", "-1")],
+)
+def test_verify_refuses_nonpositive_sweep_flags(capsys, monkeypatch, flag, value):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("run_suites called on refused input")
+
+    monkeypatch.setattr(cli.verify, "run_suites", no_suites)
+    code, out, err = run(capsys, "verify", "--suite", "pmf", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: {flag} must be >= 1, got {value}\n"
+
+
+def test_verify_moments_stops_at_the_brute_force_guard(capsys, monkeypatch):
+    monkeypatch.setattr(dist, "_BRUTE_FORCE_N_MAX", 4)  # a cheap guard
+    _, at_cap, _ = run(capsys, "verify", "--suite", "moments", "--max-n", "4")
+    code, past_cap, _ = run(capsys, "verify", "--suite", "moments", "--max-n", "5")
+    assert code == 0
+    assert past_cap == at_cap
+    assert past_cap.startswith("PASS moments (")
+
+
 def test_verify_usage_error_on_bad_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])  # argparse rejects unknown choice

@@ -97,6 +97,16 @@ def _chi2_failures(result, N):
     return [f for f in result.failures if f.startswith(f"chi-square rejects at N={N},")]
 
 
+def test_jdecomp_suite_counts_a_raised_identity_as_one_failed_check(monkeypatch):
+    def broken(params):
+        raise ArithmeticError(f"J2 != J3 + J4 at N={params.N}")
+
+    monkeypatch.setattr(verify.dist, "j_decomposition", broken)
+    r = verify.suite_jdecomp(3)
+    assert r.checks == len(r.failures) == 2 * len(verify.ALPHA_GRID)
+    assert r.failures[0] == "J2 != J3 + J4 at N=2"
+
+
 def test_chi2_gate_rejects_skewed_counts(monkeypatch):
     (clean,) = verify.run_suites(["sampler"], samples=200_000, seed=7)
     assert clean.ok, clean.failures
