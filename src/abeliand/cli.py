@@ -33,6 +33,14 @@ _MAX_FAILURES_SHOWN = 20
 # about 1.9 s end to end and peaks at 52 MB, growing linearly in N.
 PMF_MAX_N = {"exact": 2000, "float": 10**6}
 
+# Largest N, and largest N*M (uniforms drawn), that `sample` serves, from
+# measurements on the same VM: the kernel draws 31-69 M uniforms/s for
+# N >= 10 (N = 1000, M = 10^6 takes 15 s) and 11 M draws/s at N = 1, so a
+# run at the N*M cap takes 15-90 s.  One row of N = 10^6 uniforms and its
+# temporaries peak at about 100 MB RSS, growing linearly in N.
+SAMPLE_MAX_N = 10**6
+SAMPLE_MAX_UNIFORMS = 10**9
+
 
 class UsageError(Exception):
     pass
@@ -175,6 +183,10 @@ def run_sample(args) -> int:
     seed = _resolve_seed(args.seed)
     if args.M < 1:
         raise UsageError("M must be >= 1")
+    if args.N > SAMPLE_MAX_N:
+        raise UsageError(f"sample serves N <= {SAMPLE_MAX_N}, got N={args.N}")
+    if args.N * args.M > SAMPLE_MAX_UNIFORMS:
+        raise UsageError(f"sample serves N*M <= {SAMPLE_MAX_UNIFORMS}, got N*M={args.N * args.M}")
     stats = sampler.monte_carlo(params, args.M, seed)
     payload = {
         "family": "avalanche",

@@ -35,11 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Union
 
 import numpy as np
 
-from .stirling import horner, poly_P, split_index, stirling_row
+from .stirling import horner, split_index, stirling_rows
 
 FAMILIES = ("abelian", "avalanche", "shifted")
 
@@ -62,7 +63,9 @@ class Params:
 
     Exact mode stores p and alpha as Fractions (alpha = N*p exactly); float
     mode stores both as floats.  Use the ``exact``/``stable`` constructors
-    with exactly one of p or alpha.
+    with exactly one of p or alpha.  Built directly, p and alpha must be of
+    one kind and related as those constructors relate them: alpha = p*N or
+    p = alpha/N.
     """
 
     N: int
@@ -75,6 +78,10 @@ class Params:
             raise ValueError("p must be positive")
         if not self.N * self.p < 1:
             raise ValueError(f"p must be < 1/N, got p={self.p} with N={self.N}")
+        if isinstance(self.p, Fraction) != isinstance(self.alpha, Fraction):
+            raise ValueError("p and alpha must both be exact or both float")
+        if self.alpha != self.p * self.N and self.p != self.alpha / self.N:
+            raise ValueError(f"alpha must be N*p, got p={self.p}, alpha={self.alpha} with N={self.N}")
 
     @classmethod
     def exact(cls, N: int, p=None, alpha=None) -> "Params":
@@ -525,9 +532,13 @@ def j_decomposition(params: Params) -> JDecomposition:
 
     C = normalization_C(params)
     J1 = alpha**N / (p * (1 - alpha))
-    J2 = horner([horner(stirling_row(i).coeffs[:i], N) for i in range(1, N)], p)
+    # Rows 1..N-1 in one pass: row i less its top coefficient is J2's i-th
+    # polynomial, and less its top two it is P_(i-2) (empty at i = 1).
+    rows = enumerate(islice(stirling_rows(), 1, N), 1)
+    j2_values, p_values = zip(*((horner(row[:i], N), horner(row[: i - 1], N)) for i, row in rows))
+    p_values = p_values[1:]
+    J2 = horner(j2_values, p)
     J3 = -horner([(i + 1) * (i + 2) // 2 for i in range(N - 1)], alpha)
-    p_values = [poly_P(i)(N) for i in range(N - 2)]
     kstar = split_index(N)
     J4 = p * horner(p_values, p)
     J5 = p * horner(p_values[:kstar], p)

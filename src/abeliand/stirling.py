@@ -2,9 +2,11 @@
 
 Rows of coefficients s(i,j;1) are the coefficients of the falling factorial
 (x-1)(x-2)...(x-i) and are generated by multiplying those linear factors out
-one at a time: O(i^2) integer arithmetic, no rounding anywhere.  Rows are
-memoized append-only, so concurrent readers are safe and repeated callers
-pay once.
+one at a time: O(i^2) integer arithmetic, no rounding anywhere.
+``stirling_rows`` streams rows 0, 1, 2, ... and holds only the current one,
+so a pass over many rows (``j_decomposition`` reads rows 1..N-1 once) keeps
+one row in memory.  ``stirling_row(i)`` is row i of a fresh stream behind a
+bounded LRU cache, so repeated callers of a few rows pay once.
 
 The brute-force subset formula |s(i,j;1)| = i! * sum over j-subsets
 {r_1..r_j} of {1..i} of 1/(r_1...r_j) is kept only as an independent
@@ -18,11 +20,11 @@ module uses the value the definition forces.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 # e^2 = 7.38905609893065... truncated after 10 digits, i.e. slightly BELOW
 # the true value, so `product <= E2_LOWER` implies `product <= e^2`.
@@ -72,31 +74,24 @@ def horner(coeffs, x):
     return acc
 
 
-# Append-only row memo; _rows[i] holds the coefficients of (x-1)...(x-i).
-_rows: list[tuple[int, ...]] = [(1,)]
-_rows_lock = threading.Lock()
+def stirling_rows():
+    """Rows 0, 1, 2, ...: row k holds the coefficients of (x-1)...(x-k).
+
+    Each row is row k-1 multiplied by (x - k); only the current row is held.
+    """
+    row, k = (1,), 0
+    while True:
+        yield row
+        k += 1
+        row = (-k * row[0], *(lo - k * hi for lo, hi in zip(row, row[1:])), 1)
 
 
-def _ensure_rows(i: int) -> None:
-    if i < len(_rows):
-        return
-    with _rows_lock:
-        while len(_rows) <= i:
-            k = len(_rows)  # next factor to absorb is (x - k)
-            prev = _rows[-1]
-            row = [0] * (k + 1)
-            for j, c in enumerate(prev):
-                row[j] -= k * c
-                row[j + 1] += c
-            _rows.append(tuple(row))
-
-
+@functools.lru_cache
 def stirling_row(i: int) -> StirlingRow:
     """Exact coefficients of (x-1)(x-2)...(x-i); row 0 is [1]."""
     if i < 0:
         raise ValueError("row index must be non-negative")
-    _ensure_rows(i)
-    return StirlingRow(i, _rows[i])
+    return StirlingRow(i, next(islice(stirling_rows(), i, None)))
 
 
 def unsigned_stirling(i: int, j: int) -> int:

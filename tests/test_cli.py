@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from abeliand import cli, dist, verify
+from abeliand import cli, dist, sampler, verify
 from abeliand.cli import main
 from abeliand.stirling import StirlingRow, stirling_row
 
@@ -140,6 +140,38 @@ def test_pmf_refuses_n_over_budget(capsys, monkeypatch, mode):
     assert code == 2
     assert out == ""
     assert err == f"abeliand: error: pmf --mode {mode} serves N <= {N - 1}, got N={N}\n"
+
+
+@pytest.mark.parametrize(
+    "N, M, message",
+    [
+        (10**6 + 1, 1, "N <= 1000000, got N=1000001"),
+        (1000, 10**6 + 1, "N*M <= 1000000000, got N*M=1000001000"),
+        (10**6, 100_000, "N*M <= 1000000000, got N*M=100000000000"),
+    ],
+)
+def test_sample_refuses_work_over_budget(capsys, monkeypatch, N, M, message):
+    def no_work(*args):
+        raise AssertionError("sampling work started on refused input")
+
+    monkeypatch.setattr(cli.sampler, "monte_carlo", no_work)
+    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", no_work)
+    code, out, err = run(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: sample serves {message}\n"
+
+
+@pytest.mark.parametrize("N, M", [(1000, 10**6), (10**6, 1000), (1, 10**9)])
+def test_sample_budget_admits_its_edge(capsys, monkeypatch, N, M):
+    def fake_sampling(params, M, seed):
+        return sampler.SampleStats(M, seed, 0.0, 0.0, {0: M}, 0.0)
+
+    monkeypatch.setattr(cli.sampler, "monte_carlo", fake_sampling)
+    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", lambda params: 0.0)
+    code, out, _ = run(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
+    assert code == 0
+    assert json.loads(out)["M"] == M
 
 
 def test_pmf_budget_admits_the_documented_sizes():

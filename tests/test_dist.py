@@ -74,6 +74,28 @@ class TestParams:
         with pytest.raises(ValueError):
             Params.exact(2, p=Fraction(1, 4), alpha=Fraction(1, 2))
 
+    @pytest.mark.parametrize(
+        "p, alpha",
+        [
+            (Fraction(1, 20), Fraction(9, 10)),  # alpha != N*p
+            (0.05, 0.9),
+            (Fraction(1, 20), 0.5),  # exact p, float alpha
+            (0.05, Fraction(1, 2)),
+        ],
+    )
+    def test_constructor_rejects_inconsistent_alpha(self, p, alpha):
+        # At N = 10, p = 1/20 an alpha of 9/10 would give abelian_mean 100/19
+        # against the brute-force mean 20/11.
+        with pytest.raises(ValueError):
+            Params(10, p, alpha)
+
+    def test_constructor_accepts_what_the_builders_form(self):
+        assert Params(10, Fraction(1, 20), Fraction(1, 2)) == Params.exact(10, p=Fraction(1, 20))
+        assert Params(10, 0.05, 0.5) == Params.stable(10, p=0.05)
+        for alpha in (0.1, 0.3, 0.7, 0.9, 1e-7):
+            for N in (3, 7, 10, 49, 1000):
+                assert Params(N, alpha / N, alpha) == Params.stable(N, alpha=alpha)
+
     def test_n_equals_one_allows_up_to_one(self):
         p = Params.exact(1, p=Fraction(9, 10))
         assert p.alpha == Fraction(9, 10)

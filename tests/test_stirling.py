@@ -1,8 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 
 import pytest
 
+import abeliand
 from abeliand.stirling import (
     E2_LOWER,
     Polynomial,
@@ -219,3 +224,32 @@ def test_rows_safe_under_concurrent_growth():
         assert len(rows) == top + 1
         for i, coeffs in zip(range(top, -1, -1), rows):
             assert coeffs == stirling_row(i).coeffs
+
+
+def test_row_memory_is_bounded():
+    # A fresh process, so no earlier test has left rows cached.  A store of
+    # every row up to i holds O(i^3 log i) bits: 50 MB after j_decomposition
+    # at N = 600 and over 69 MB for row 800.  Streamed rows hold about 1 MB.
+    src = pathlib.Path(abeliand.__file__).resolve().parents[1]
+    code = (
+        "import tracemalloc\n"
+        "from fractions import Fraction\n"
+        "from abeliand import Params, j_decomposition, stirling_row\n"
+        "tracemalloc.start()\n"
+        "j_decomposition(Params.exact(600, alpha=Fraction(9, 10)))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+        "tracemalloc.reset_peak()\n"
+        "stirling_row(800)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+        timeout=60,
+    )
+    jdecomp_peak, row_peak = map(int, proc.stdout.split())
+    assert jdecomp_peak < 8 * 2**20
+    assert row_peak < 8 * 2**20
