@@ -5,7 +5,8 @@ Two evaluation modes share one API.  Exact mode returns
 J-term rewrite of the second moment can be asserted with equality.  It
 computes in integers: with p = a/d in lowest terms, an Avalanche entry at N
 is one integer numerator over d^N, reduced by the primes q <= N+1 the two
-can share, and a series is one integer numerator over d^n, reduced once.
+can share, and a series is one integer numerator over d^n, reduced by the
+primes q <= n of d, each exactly v_q(n!) times.
 The Abelian entry is the Avalanche entry at N-1 times a ratio of small
 integers, P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).  Float mode
 evaluates PMFs in log space (log-gamma binomials, log1p) and keeps only
@@ -21,9 +22,12 @@ Float mode takes E(X) and the second-moment bracket from one running
 product of the falling-power terms (n)_i p^i, sums the bracket with a
 single compensated fsum and switches to the J-term tail form for large N,
 where the bracket cancels catastrophically.  Exact mode builds the same
-series as S_n = sum_i (n)_i a^i d^(n-i) by an integer recurrence.  The
-exact J-term rewrite evaluates the Stirling-row polynomials P_i(N) by
-integer Horner, and J2..J6 each as one Horner evaluation in p or alpha.
+series from one integer generator of its partial sums and terms over d^k:
+the exact mean and bracket take its last partial sum, and
+rounded_avalanche_mean stops on a prefix.  J1 and the closed form of J3
+are written once, for the float tail and the exact J-term rewrite alike.
+The exact rewrite evaluates the Stirling-row polynomials P_i(N) by integer
+Horner, and J2, J4, J5 and J6 each as one Horner evaluation in p.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
 shifted Avalanche family (Avalanche + 1) on {1..N+1}.  The shared parameter
@@ -390,23 +394,28 @@ def _falling_powers(n: int, p: float):
             return
 
 
-def _falling_power_sum(n: int, a: int, d: int) -> tuple[int, int]:
-    """(S_n, d^n) with S_n = sum_{i=1..n} (n)_i a^i d^(n-i).
+def _falling_power_series(n: int, a: int, d: int):
+    """(s_k, t_k) for k = 1..n: sum_{i<=k} (n)_i p^i and (n)_k p^k over d^k, p = a/d."""
+    s, t = 0, 1
+    for m in range(n, 0, -1):  # m = n-k+1 at step k
+        t *= m * a  # t_k = (n-k+1) a t_(k-1)
+        s = s * d + t  # s_k = d s_(k-1) + t_k
+        yield s, t
 
-    So sum_{i=1..n} (n)_i p^i = S_n / d^n for p = a/d, and
-    S_k = k*a*(d^(k-1) + S_(k-1)) builds it in n integer steps.
-    """
-    s, dk = 0, 1
-    for k in range(1, n + 1):
-        s = k * a * (dk + s)
-        dk *= d
-    return s, dk
+
+def _falling_power_sum(n: int, a: int, d: int) -> Fraction:
+    """s_n / d^n in lowest terms: a prime q of d divides s_n as often as its term n! a^n."""
+    s = 0
+    for s, _ in _falling_power_series(n, a, d):
+        pass
+    g = math.prod(q ** sum(n // q**j for j in range(1, n.bit_length())) for q, _ in _small_prime_factors(d, n))
+    return _coprime_fraction(s // g, d**n // g)
 
 
 def avalanche_mean(params: Params) -> Number:
     """E(X) = sum_{i=1..N} (N)_i * p^i, with (N)_i the falling factorial."""
     if params.is_exact:
-        return Fraction(*_falling_power_sum(params.N, params.p.numerator, params.p.denominator))
+        return _falling_power_sum(params.N, params.p.numerator, params.p.denominator)
     return math.fsum(_falling_powers(params.N, params.p))
 
 
@@ -424,10 +433,8 @@ def rounded_avalanche_mean(params: Params) -> float:
     N, a, d = params.N, params.p.numerator, params.p.denominator
     rest = d - N * a  # (1 - alpha) * d
     # S_k = s / d^k and t_k = t / d^k; the tail bound is t*N*a / (d^k * rest)
-    s, t, dk = 0, 1, 1
-    for k in range(1, N + 1):
-        t *= (N - k + 1) * a
-        s = s * d + t
+    dk = 1
+    for s, t in _falling_power_series(N, a, d):
         dk *= d
         mean = s / dk
         if mean == (s * rest + t * N * a) / (dk * rest):
@@ -441,25 +448,23 @@ def abelian_second_moment(params: Params) -> Number:
     C = normalization_C(params)
     head = N * p / (1 - N * p)
     if params.is_exact:
-        return C / p * (head - Fraction(*_falling_power_sum(N - 1, p.numerator, p.denominator)))
+        return C / p * (head - _falling_power_sum(N - 1, p.numerator, p.denominator))
     if N <= _FLOAT_TAIL_N:
         # fsum rounds once over all the terms: the bracket must go through it
         # whole, or the cancellation between the head and the series rounds
         # differently.
         return C / p * math.fsum([head, *(-t for t in _falling_powers(N - 1, p))])
-    J1 = alpha**N / (p * (1.0 - alpha))
-    return C * (J1 - _float_J3_closed(N, alpha) - math.fsum(_float_J4_terms(N, alpha)))
+    J1, J3 = _j1_j3(params)
+    return C * (J1 - J3 - math.fsum(_float_J4_terms(N, alpha)))
 
 
-def _float_J3_closed(N: int, alpha: float) -> float:
-    # Closed partial sum of -sum_{i=0}^{N-2} alpha^i (i+1)(i+2)/2: the full
-    # series is 1/(1-alpha)^3 and the tail at M = N-2 telescopes into three
-    # geometric pieces.
-    one = 1.0 - alpha
-    tail = alpha ** (N - 1) * (
-        1.0 / one**3 + (N - 1) * alpha / one**2 + (N - 1) * (N + 2) / (2.0 * one)
-    )
-    return -1.0 / one**3 + tail
+def _j1_j3(params: Params) -> tuple[Number, Number]:
+    """J1 = alpha^N/(p(1-alpha)) and J3 = -sum_{i=0..N-2} alpha^i (i+1)(i+2)/2, in closed form."""
+    N, p, alpha = params.N, params.p, params.alpha
+    one = 1 - alpha  # int literals keep params' number type
+    # J3's full series is -1/(1-alpha)^3; its tail from i = N-1 telescopes
+    tail = alpha ** (N - 1) * (1 / one**3 + (N - 1) * alpha / one**2 + (N - 1) * (N + 2) / (2 * one))
+    return alpha**N / (p * one), -1 / one**3 + tail
 
 
 def _float_J4_terms(N: int, alpha: float):
@@ -520,9 +525,9 @@ def moments(family: str, params: Params) -> Moments:
 def j_decomposition(params: Params) -> JDecomposition:
     """Exact J1..J6 terms of the second-moment rewrite, invariants checked.
 
-    J2 comes from the raw double sum over rows s(i, .); J4 is recomputed
-    independently through the truncated-row polynomials P_i, so the returned
-    object's J2 = J3 + J4 equality is a genuine cross-check, not bookkeeping.
+    J2 comes from the raw double sum over rows s(i, .), J3 from the closed
+    form the float tail uses, and J4 through the truncated-row polynomials
+    P_i, so J2 = J3 + J4 checks that closed form in exact arithmetic.
     """
     if not params.is_exact:
         raise ValueError("j_decomposition requires exact-mode params")
@@ -531,14 +536,13 @@ def j_decomposition(params: Params) -> JDecomposition:
         raise ValueError("need N >= 2")
 
     C = normalization_C(params)
-    J1 = alpha**N / (p * (1 - alpha))
+    J1, J3 = _j1_j3(params)
     # Rows 1..N-1 in one pass: row i less its top coefficient is J2's i-th
     # polynomial, and less its top two it is P_(i-2) (empty at i = 1).
     rows = enumerate(islice(stirling_rows(), 1, N), 1)
     j2_values, p_values = zip(*((horner(row[:i], N), horner(row[: i - 1], N)) for i, row in rows))
     p_values = p_values[1:]
     J2 = horner(j2_values, p)
-    J3 = -horner([(i + 1) * (i + 2) // 2 for i in range(N - 1)], alpha)
     kstar = split_index(N)
     J4 = p * horner(p_values, p)
     J5 = p * horner(p_values[:kstar], p)

@@ -1,15 +1,18 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from abeliand import cli, dist, sampler, verify
 from abeliand.cli import main
+from abeliand.dist import Params
 from abeliand.stirling import StirlingRow, stirling_row
 
 
@@ -98,6 +101,87 @@ def test_pmf_json_output(capsys):
         {"b": 1, "prob_num": 2, "prob_den": 3},
         {"b": 2, "prob_num": 1, "prob_den": 3},
     ]
+
+
+def _json_as_one_list(columns, rows):
+    # The whole-list construction whose bytes streamed JSON tables keep.
+    return json.dumps([dict(zip(columns, row)) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 129])
+def test_json_rows_match_one_list(capsys, rows):
+    columns = ["b", "x", "note"]
+    table = [(b, [0.1 * b, math.nan, math.inf][b % 3], f"r\"{b}é") for b in range(rows)]
+    cli._write_json_rows(columns, iter(table))
+    out, _ = capsys.readouterr()
+    assert out == _json_as_one_list(columns, table)
+    assert rows or out == "[]\n"
+
+
+@pytest.mark.parametrize("family", dist.FAMILIES)
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("N", [63, 130])
+def test_pmf_json_bytes_match_one_list(capsys, family, mode, N):
+    params = Params.exact(N, alpha=Fraction(9, 10)) if mode == "exact" else Params.stable(N, alpha=0.9)
+    table = dist.pmf_table(family, params)
+    if mode == "exact":
+        columns = ["b", "prob_num", "prob_den"]
+        rows = [(b, q.numerator, q.denominator) for b, q in zip(table.support, table.probs_exact)]
+    else:
+        columns = ["b", "prob"]
+        rows = list(zip(table.support, map(float, table.probs_float)))
+    code, out, err = run(
+        capsys, "pmf", "--family", family, "--N", str(N), "--alpha", "0.9",
+        "--mode", mode, "--output", "json",
+    )
+    assert code == 0 and err == ""
+    assert out == _json_as_one_list(columns, rows)
+
+
+@pytest.mark.parametrize("family", ["abelian", "avalanche"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_moments_json_bytes_match_one_list(capsys, family, mode):
+    params = Params.exact(20, alpha=Fraction(7, 10)) if mode == "exact" else Params.stable(20, alpha=0.7)
+    m = dist.moments(family, params)
+    fmt = str if mode == "exact" else float
+    row = (20, fmt(params.alpha), fmt(m.mean), fmt(m.second_moment), fmt(m.variance))
+    code, out, _ = run(
+        capsys, "moments", "--family", family, "--N", "20", "--alpha", "0.7",
+        "--mode", mode, "--output", "json",
+    )
+    assert code == 0
+    assert out == _json_as_one_list(["N", "alpha", "mean", "second_moment", "variance"], [row])
+
+
+def test_limit_json_bytes_match_one_list(capsys):
+    Ns = [2, 100, 1000, 5000]
+    rows = [(r.N, r.variance, r.limit, r.abs_error) for r in dist.convergence_table(0.5, Ns)]
+    code, out, _ = run(capsys, "limit", "--alpha", "0.5", "--N", *map(str, Ns), "--output", "json")
+    assert code == 0
+    assert out == _json_as_one_list(["N", "variance", "limit", "abs_error"], rows)
+
+
+def test_pmf_json_streams_its_rows(monkeypatch):
+    # Built as one list of row dicts and one string, the JSON table at
+    # N = 2e5 peaked at 62 MB traced; streamed it stays with the CSV path's
+    # ~10 MB (the table and its kernel's blocks).
+    class Sink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    argv = ["pmf", "--family", "abelian", "--N", "200000", "--alpha", "0.5", "--mode", "float", "--output", "json"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.chars > 200_000 * len('{"b": 1, "prob": 0.5}, ')
+    assert peak < 20_000_000
 
 
 def test_pmf_rejects_bad_alpha(capsys):

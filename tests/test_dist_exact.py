@@ -268,6 +268,22 @@ def test_rounded_avalanche_mean_is_the_float_of_the_exact_mean(params, heavy):
     assert rounded_avalanche_mean(params) == float(avalanche_mean(params))
 
 
+# The series sum s_n / d^n is reduced by q^(v_q(n!)) for each prime q of d,
+# with no gcd taken: a wrong exponent leaves a wrong or unreduced Fraction.
+@settings(max_examples=150, deadline=None)
+@given(params=exact_params())
+def test_exact_series_come_in_lowest_terms(params):
+    N, p = params.N, params.p
+
+    def series(n):
+        return sum((math.perm(n, i) * p**i for i in range(1, n + 1)), start=Fraction(0))
+
+    head = N * p / (1 - N * p)
+    expected = [series(N), normalization_C(params) / p * (head - series(N - 1))]
+    got = [avalanche_mean(params), abelian_second_moment(params)]
+    assert [(q.numerator, q.denominator) for q in got] == [(q.numerator, q.denominator) for q in expected]
+
+
 def test_rounded_avalanche_mean_needs_exact_params():
     with pytest.raises(ValueError):
         rounded_avalanche_mean(Params.stable(10, alpha=0.5))
