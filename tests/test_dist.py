@@ -4,8 +4,9 @@ import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeliand import dist
@@ -668,7 +669,9 @@ def test_float_j_tail_accuracy(N, log_alpha):
 # show up in these bits.  N = 2^16 - 1 .. 2^16 + 1 put the end of the
 # support on either side of the table kernel's block boundary.  The heavy
 # tail at N = 10^4, alpha = 0.999999 keeps terms such as b = 9170 far from
-# underflow, where numpy's log rounds differently from math.log.
+# underflow, where numpy's log rounds differently from math.log.  At
+# N = 10^6, alpha = 0.5 only the first 3783 entries are nonzero, the last one
+# subnormal; at N = 2*10^5, alpha = 0.999999 every entry is.
 TABLE_PINS = {
     ("abelian", 1, 1e-07):
         "fd60998e44d3feb9c4bea3e46e5e9f0e12495076a26964274424f2afcab23a1c",
@@ -702,6 +705,10 @@ TABLE_PINS = {
         "c9f38c30c9707195066eb323a259da2c48dd2ff4fcb18f4ea8766cf2138305c3",
     ("abelian", 10000, 0.999999):
         "fd333403dd8c1837f14713506ee10d736965e9a25998aac26c2ccc3276509697",
+    ("abelian", 10**6, 0.5):
+        "103cedb219547b897ac788b8bbf829af9d41946cea24cdb6b722d8d5c6fc884f",
+    ("abelian", 2 * 10**5, 0.999999):
+        "22d4c93b3653ef8f234348c49d42a5a10930f3482642eb995cd0c1278a02d111",
     ("avalanche", 1, 1e-07):
         "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
     ("avalanche", 1, 0.5):
@@ -734,6 +741,10 @@ TABLE_PINS = {
         "eba30309ee767808a042022af438fd40c2bee450e5a1175eb6b98c980ad8cb08",
     ("avalanche", 10000, 0.999999):
         "fcd023806dd7a097a3e3061b27fde42ef9b62eca1f71a905902e963f34d400f1",
+    ("avalanche", 10**6, 0.5):
+        "784e829b512bc52321028b742f7246abef254a99e5a89136c5fa9366c1f9cf70",
+    ("avalanche", 2 * 10**5, 0.999999):
+        "cb8de88f8e2cdef23280fc1f64403e40aff39394928c0ae0041169a173ab35cf",
     ("shifted", 1, 1e-07):
         "0c9d3701fe9c733a8702e589da689b57f57e7b93691f3e050b4573dd6cfb8dae",
     ("shifted", 1, 0.5):
@@ -766,6 +777,10 @@ TABLE_PINS = {
         "eba30309ee767808a042022af438fd40c2bee450e5a1175eb6b98c980ad8cb08",
     ("shifted", 10000, 0.999999):
         "fcd023806dd7a097a3e3061b27fde42ef9b62eca1f71a905902e963f34d400f1",
+    ("shifted", 10**6, 0.5):
+        "784e829b512bc52321028b742f7246abef254a99e5a89136c5fa9366c1f9cf70",
+    ("shifted", 2 * 10**5, 0.999999):
+        "cb8de88f8e2cdef23280fc1f64403e40aff39394928c0ae0041169a173ab35cf",
 }
 
 
@@ -841,6 +856,56 @@ def test_float_table_matches_reference_terms(family, N, log_alpha):
         table = pmf_table(family, params)
     assert [q.hex() for q in table.probs_float] == expected
     assert [pmf(family, params, b).hex() for b in table.support] == expected
+
+
+def _mapped(f, x):
+    return np.fromiter(map(f, x.tolist()), np.float64, len(x))
+
+
+def _full_support_table(family, params):
+    """The float table with every support point through the math.* kernel.
+
+    One lgamma per j = 0..N, then each family's log term in the table
+    kernel's own order of operations, exponentiated point by point.
+    """
+    N, p = params.N, params.p
+    lg = _mapped(math.lgamma, np.arange(1, N + 2))
+    if family == "abelian":
+        b = np.arange(1, N + 1)
+        log_C = math.log1p(-N * p) - math.log1p(-(N - 1) * p)
+        log_binom = (math.lgamma(N) - lg[b - 1]) - lg[N - b]
+        lp = (
+            (log_C + log_binom)
+            + (b - 1) * math.log(p)
+            + (N - b - 1) * _mapped(math.log1p, -b * p)
+            + (b - 2) * _mapped(math.log, b)
+        )
+    else:  # the shifted table is the Avalanche table at b - 1
+        b = np.arange(0, N + 1)
+        log_binom = (math.lgamma(N + 1) - lg[b]) - lg[N - b]
+        lp = log_binom + b * math.log(p) + (b - 1) * _mapped(math.log, b + 1)
+        tail = np.zeros(N + 1)
+        tail[:N] = (N - b[:N]) * _mapped(math.log1p, -(b[:N] + 1) * p)
+        lp = lp + tail
+    return _mapped(math.exp, lp)
+
+
+# Large N and log-uniform alpha put the last nonzero entry anywhere in a
+# table; 64-point blocks put it inside a block, away from either end.
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    log_N=st.floats(0, math.log(2 * 10**5)),
+    log_alpha=st.floats(math.log(1e-300), math.log(0.999999)),
+)
+@example(family="abelian", log_N=math.log(10**5), log_alpha=math.log(0.9))
+@example(family="avalanche", log_N=math.log(2 * 10**5), log_alpha=math.log(0.97))
+def test_float_table_matches_full_support_kernel(family, log_N, log_alpha):
+    params = Params.stable(round(math.exp(log_N)), alpha=min(math.exp(log_alpha), 0.999999))
+    expected = [q.hex() for q in _full_support_table(family, params)]
+    with mock.patch.object(dist, "_BLOCK", 64):
+        table = pmf_table(family, params)
+    assert [q.hex() for q in table.probs_float] == expected
 
 
 # Stated accuracy of float tables for N <= 60 and 1e-7 <= alpha <= 0.999999,
