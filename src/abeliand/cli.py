@@ -36,8 +36,11 @@ _JSON_BATCH = 64
 # N = 1000, 1.2 s at N = 2000 and 9.6 s at N = 4000 (31, 39 and 76 MB).
 # Exact `pmf` end to end takes 1.0 s at N = 1000 and 5.3 s at N = 2000, of
 # which 3.0 s is the decimal conversion of its ~7000-digit integers, which
-# grows with the square of their length.  Float `pmf` at N = 10^6 takes
-# about 1.9 s end to end and peaks at 52 MB in CSV or JSON, growing
+# grows with the square of their length.  Float `pmf` at N = 10^6 and
+# alpha = 0.5 takes 1.3-1.8 s end to end in CSV or JSON and peaks at 32 MB:
+# interpreter start 0.3 s and the table 0.04 s (its 3783 nonzero entries),
+# the rest output formatting.  Where no entry underflows (alpha = 0.999999)
+# the table takes 0.7 s of 3-5 s and the run peaks at 48 MB.  Both grow
 # linearly in N.
 PMF_MAX_N = {"exact": 2000, "float": 10**6}
 

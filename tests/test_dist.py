@@ -1,6 +1,9 @@
+import collections
 import hashlib
 import math
+import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from unittest import mock
 
@@ -951,6 +954,38 @@ def test_float_abelian_is_weighted_avalanche_at_n_minus_1(N, log_alpha):
     predicted = [C / (1 - b * p) * avalanche[b - 1] for b in support("abelian", N)]
     worst = max(_relative_gap(f, e) for f, e in zip(abelian, predicted))
     assert worst <= 2 * float_pmf_bound(alpha) + 9 * 2.0**-53 / (1 - alpha)
+
+
+# At N = 10^6, alpha = 0.5 only the first 3783 entries of each table are
+# nonzero: the table runs the math.* kernel there and nowhere else (about
+# 4 * 10^6 calls when it ran at every point).  Scalar pmf runs the kernel at
+# any point it is asked for, so it checks the cut on both sides of the last
+# nonzero entry, a subnormal, and at the top of the support.
+@pytest.mark.parametrize("family", FAMILIES)
+def test_float_table_cost_follows_its_nonzero_window(family):
+    params = Params.stable(10**6, alpha=0.5)
+    calls = collections.Counter()
+
+    def counted(name):
+        f = getattr(math, name)
+
+        def call(x):
+            calls[name] += 1
+            return f(x)
+
+        return call
+
+    kernel = ("lgamma", "log", "log1p", "exp")
+    counting_math = types.SimpleNamespace(**{**vars(math), **{name: counted(name) for name in kernel}})
+    with mock.patch.object(dist, "math", counting_math):
+        table = pmf_table(family, params)
+    assert sum(calls.values()) < 50_000
+    probs = table.probs_float
+    last = np.flatnonzero(probs)[-1]
+    assert 0 < probs[last] < sys.float_info.min
+    for i in (last, last + 1, len(probs) - 1):
+        assert pmf(family, params, table.support[i]).hex() == float(probs[i]).hex()
+    assert probs[last + 1] == 0
 
 
 def test_float_table_is_read_only():
