@@ -17,9 +17,9 @@ points.  Before the kernel runs on a block, the same log term, taken with
 Stirling log-factorials and numpy's log and log1p, screens out the points
 whose exp underflows; pmf_table writes +0.0 there, the kernel's own value,
 so a table makes math.* calls only at its nonzero entries and the few just
-past them, one math.lgamma per log-factorial they read.  In either mode scalar pmf runs the table's
-own per-entry kernel (in float mode on a one-point block, unscreened), so
-it returns the same value as the table.
+past them, one math.lgamma per log-factorial they read.  In either mode
+scalar pmf runs the table's own per-entry kernel (in float mode on a
+one-point block, unscreened), so it returns the same value as the table.
 
 Float mode takes E(X) and the second-moment bracket from one running
 product of the falling-power terms (n)_i p^i, sums the bracket with a
@@ -337,7 +337,12 @@ def _abelian_log_block(params: Params, b: np.ndarray, log_factorial, log, log1p)
     N, p = params.N, params.p
     log_C = math.log1p(-N * p) - math.log1p(-(N - 1) * p)
     log_binom = (math.lgamma(N) - log_factorial(b - 1)) - log_factorial(N - b)
-    return (log_C + log_binom) + (b - 1) * math.log(p) + (N - b - 1) * log1p(-b * p) + (b - 2) * log(b)
+    return (
+        (log_C + log_binom)
+        + (b - 1) * math.log(p)
+        + (N - b - 1) * log1p(-b * p)
+        + (b - 2) * log(b)
+    )
 
 
 def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial, log, log1p) -> np.ndarray:

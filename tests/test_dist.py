@@ -985,7 +985,6 @@ def test_float_table_cost_follows_its_nonzero_window(family):
     assert 0 < probs[last] < sys.float_info.min
     for i in (last, last + 1, len(probs) - 1):
         assert pmf(family, params, table.support[i]).hex() == float(probs[i]).hex()
-    assert probs[last + 1] == 0
 
 
 def test_float_table_is_read_only():
