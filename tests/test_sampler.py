@@ -212,6 +212,9 @@ def _edge_rows(params, count, seed):
         (40, 0.999999 / 40),
         (40, 1e-7 / 40),
         (200, 0.9 / 200),
+        # p between half a grid step and one (the floats below 1 are 2^-53
+        # apart): thresholds closer than one step, several t_j on one float
+        *[(N, m * 2.0**-54) for m in (1.01, 1.25, 1.5, 1.75, 1.99) for N in (2, 7, 30, 64, 200)],
     ],
 )
 def test_draw_chunk_on_threshold_edges(monkeypatch, N, p):
