@@ -167,6 +167,10 @@ def run_pmf(args) -> int:
 
 
 def run_moments(args) -> int:
+    # Float Avalanche moments sum the float table that `pmf` builds.
+    budget = PMF_MAX_N["float"]
+    if args.family != "abelian" and args.mode == "float" and args.N > budget:
+        raise UsageError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
     params = _build_params(args, args.mode)
     try:
         m = dist.moments(args.family, params)

@@ -228,13 +228,12 @@ def _reduced(factors, den: int, primes) -> Fraction:
     """prod(x**e for x, e in factors) / den in lowest terms.
 
     ``primes`` holds (q, v_q(den)) for every prime q the numerator can share
-    with den.  A factor with exponent 0 is 1 whatever its base, even a base
-    <= 0.
+    with den.  Every base x must be nonzero, or _valuation(x, q) never ends.
     """
     num = math.prod(x**e for x, e in factors)
     g = 1
     for q, v_den in primes:
-        v_num = sum(e * _valuation(x, q) for x, e in factors if e)
+        v_num = sum(e * _valuation(x, q) for x, e in factors)
         g *= q ** min(v_num, v_den)
     return _coprime_fraction(num // g, den // g)
 
@@ -242,15 +241,16 @@ def _reduced(factors, den: int, primes) -> Fraction:
 def _avalanche_term(N: int, p: Fraction):
     """b -> P(X = b) = C(N,b) a^b (d-(b+1)a)^(N-b) (b+1)^(b-1) / d^N.
 
-    The factor (d-(b+1)a)^(N-b) is 1 at b = N, where its base may be <= 0,
-    and (b+1)^(b-1) is 1 at b = 0.  N = 0 is allowed: its one entry is 1.
+    The base of (d-(b+1)a)^(N-b) is taken as d - min(b+1, N)a > 0: it differs
+    only at b = N, where the exponent is 0.  (b+1)^(b-1) is 1 at b = 0.
+    N = 0 is allowed: its one entry is 1.
     """
     a, d = p.numerator, p.denominator
     den = d**N
     primes = [(q, N * v) for q, v in _small_prime_factors(d, N + 1)]
 
     def term(b: int) -> Fraction:
-        factors = [(math.comb(N, b), 1), (a, b), (d - (b + 1) * a, N - b), (b + 1, max(b - 1, 0))]
+        factors = [(math.comb(N, b), 1), (a, b), (d - min(b + 1, N) * a, N - b), (b + 1, max(b - 1, 0))]
         return _reduced(factors, den, primes)
 
     return term
@@ -348,16 +348,13 @@ def _abelian_log_block(params: Params, b: np.ndarray, log_factorial, log, log1p)
 def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial, log, log1p) -> np.ndarray:
     """log of the Avalanche PMF at an int64 array b.
 
-    The factor (1 - (b+1)*p)^(N-b) adds zero where its exponent is zero
-    (b = N): there its base may be <= 0 but the factor is 1 by convention.
+    The base of (1 - (b+1)*p)^(N-b) is taken as 1 - min(b+1, N)*p > 0: it
+    differs only at b = N, where the exponent is 0.
     """
     N, p = params.N, params.p
     log_binom = (math.lgamma(N + 1) - log_factorial(b)) - log_factorial(N - b)
     lp = log_binom + b * math.log(p) + (b - 1) * log(b + 1)
-    inner = b < N
-    tail = np.zeros(len(b))
-    tail[inner] = (N - b[inner]) * log1p(-(b[inner] + 1) * p)
-    return lp + tail
+    return lp + (N - b) * log1p(-np.minimum(b + 1, N) * p)
 
 
 # family -> (exact term, log block, shift): P(family = b) is term(N, p) at
@@ -536,11 +533,10 @@ def _float_J4_terms(N: int, alpha: float):
     # Q_i = prod_{k=1..i+2} (1 - k/N): the p^(i+1) (N-1)_(i+2) + p^(i+1) h_i(N)
     # split of each P_i term, computed without forming either giant factor.
     # Yielded one at a time, so math.fsum holds no list of up to N-2 terms.
-    q = (1.0 - 1.0 / N) * (1.0 - 2.0 / N)
+    q = 1.0 - 1.0 / N
     apow = alpha
     for i in range(N - 2):  # i = 0 .. N-3
-        if i > 0:
-            q *= 1.0 - (i + 2.0) / N
+        q *= 1.0 - (i + 2.0) / N
         yield apow * (N * (q - 1.0) + 0.5 * (i + 2) * (i + 3))
         apow *= alpha
         # |bracket| <= N + (i+3)(i+4)/2 and <= 2N^2 once the sandwich bound

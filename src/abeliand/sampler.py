@@ -28,10 +28,6 @@ from .dist import Params
 
 CHUNK = 1 << 16
 BLOCK = 1 << 16  # uniforms per row block of _draw_chunk (one row if N is larger)
-# From this p up, the thresholds' rounding error (a few 2^-53) is under
-# 2^-10 of a step, so _draw_chunk can guess g; below it, g is searched.
-# Searching for every p is also exact, but about 3x slower end to end.
-_GUESS_MIN_P = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -98,14 +94,18 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
     # least x >= 1 with F(x) < x, where F(x) = x - 1, so S = x - 1: one
     # histogram of g and one cumsum per row.  g = N + 1 stands for "no
     # j <= N"; F(N + 1) = N < N + 1 then ends every row.
-    # g is guessed as ceil((1 - u)/p - 1/2): the rounding errors of t_j and
-    # of the quotient are a few 2^-53, far below half a step p, so the guess
-    # is g or g - 1, and one check u < t_g (the loop's own comparison) lifts
-    # it where needed.  A row with no uniform in [t_1, 1) has F(1) = 0 and
+    # g is guessed as ceil((1 - u)/p - 1/2 - 2^-54/p).  Near 1, u and t_j
+    # lie on the 2^-53 grid, so u >= t_j where p*j passes 1 - u - 2^-54,
+    # even if p is below one grid step and several j share one t_j; further
+    # down the grid is finer and p > 1/(2N).  The other rounding errors are
+    # a few 2^-53 relative, far below half a step, so the guess is g or
+    # g - 1, and one check u < t_g (the loop's own comparison) lifts it
+    # where needed.  A row with no uniform in [t_1, 1) has F(1) = 0 and
     # S = 0, so only the other rows are histogrammed.
     N = params.N
     p = float(params.p)
     t = 1.0 - p * np.arange(N + 1)
+    shift = 0.5 + 2.0**-54 / p
     rows = max(1, BLOCK // N)
     width = N + 2
     steps = np.arange(1, N + 2)
@@ -115,15 +115,12 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
         hit = np.flatnonzero(u.max(axis=1) >= t[1])
         u = u[hit]
         r = len(hit)
-        if p < _GUESS_MIN_P:
-            g = np.searchsorted(-t, -u)
-        else:
-            x = 1.0 - u
-            x /= p
-            x -= 0.5
-            np.ceil(x, out=x)
-            g = np.clip(x, 1, N, out=x).astype(np.intp)
-            g += u < t.take(g)
+        x = 1.0 - u
+        x /= p
+        x -= shift
+        np.ceil(x, out=x)
+        g = np.clip(x, 1, N, out=x).astype(np.intp)
+        g += u < t.take(g)
         g += np.arange(0, r * width, width)[:, None]
         F = np.bincount(g.ravel(), minlength=r * width).reshape(r, width)
         np.cumsum(F, axis=1, out=F)

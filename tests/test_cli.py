@@ -301,6 +301,34 @@ def test_moments_exact_guard_maps_to_usage_error(capsys):
     assert code == 2 and "brute force" in err
 
 
+@pytest.mark.parametrize("family", ["avalanche", "shifted"])
+def test_float_moments_refuse_n_over_budget(capsys, monkeypatch, family):
+    def no_table(*args):
+        raise AssertionError("pmf_table called on refused input")
+
+    monkeypatch.setattr(cli.dist, "pmf_table", no_table)
+    N = cli.PMF_MAX_N["float"] + 1
+    code, out, err = run(
+        capsys, "moments", "--family", family, "--N", str(N), "--alpha", "1/2",
+        "--mode", "float",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: moments --family {family} --mode float serves N <= {N - 1}, got N={N}\n"
+
+
+@pytest.mark.parametrize("family", ["avalanche", "shifted", "abelian"])
+def test_float_moments_budget_admits_its_limit(capsys, monkeypatch, family):
+    # the table families are served up to the budget; the Abelian closed form has none
+    N = cli.PMF_MAX_N["float"] + (family == "abelian")
+    monkeypatch.setattr(cli.dist, "moments", lambda family, params: dist.Moments(1.0, 2.0, 1.0, "float"))
+    code, out, _ = run(
+        capsys, "moments", "--family", family, "--N", str(N), "--alpha", "1/2", "--mode", "float",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == f"{N},0.5,1.0,2.0,1.0"
+
+
 def test_limit_table(capsys):
     code, out, _ = run(capsys, "limit", "--alpha", "0.5", "--N", "100", "1000")
     assert code == 0
