@@ -10,11 +10,9 @@ from .dist import (
     Params,
     PmfTable,
     abelian_mean,
-    abelian_pmf,
     abelian_second_moment,
     abelian_variance,
     avalanche_mean,
-    avalanche_pmf,
     brute_force_moment,
     convergence_table,
     j_decomposition,
@@ -23,7 +21,6 @@ from .dist import (
     pmf,
     pmf_table,
     rounded_avalanche_mean,
-    shifted_pmf,
     support,
     variance_limit,
 )

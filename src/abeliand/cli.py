@@ -44,6 +44,19 @@ _JSON_BATCH = 64
 # linearly in N.
 PMF_MAX_N = {"exact": 2000, "float": 10**6}
 
+# Largest N*D, D the decimal digits of d in p = a/d, that exact `pmf` and
+# exact `moments` serve; both refuse more with exit 2 before any work.  An
+# exact value holds about N*D digits, so N alone does not bound its cost.
+# End to end on the same VM: exact `pmf` takes 33 s and prints 70 MB at the
+# pmf cap's worst point, N = 2000 and alpha = 999999/1000000 (D = 10), and
+# 2.6 s at N = 200, D = 100; N = 100 with D = 1001, refused, takes 27 s.
+# The Abelian moments sum an N-term series of such integers, quadratic in N:
+# 0.6 s at N = 10^4 and 1.4 s at N = 2*10^4 (alpha = 1/2, D = 5), 1.0 s at
+# N = 9000, D = 10; without the cap N = 10^6 would run about an hour.  The
+# brute-force moments of the other families (N <= 30) take 11 s at D = 3333.
+PMF_MAX_ND = 20_000
+MOMENTS_MAX_ND = 100_000
+
 # Largest N, and largest N*M (uniforms drawn), that `sample` serves, from
 # measurements on the same VM: the kernel draws 31-69 M uniforms/s for
 # N >= 10 (N = 1000, M = 10^6 takes 15 s) and 11 M draws/s at N = 1, so a
@@ -53,8 +66,8 @@ SAMPLE_MAX_N = 10**6
 SAMPLE_MAX_UNIFORMS = 10**9
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A refused command line; main reports it, as any library ValueError, with exit 2."""
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -70,11 +83,8 @@ def _build_params(args, mode: str) -> Params:
     """Params in ``mode``; the exact input is checked first in either mode."""
     alpha = _parse_ratio(args.alpha) if args.alpha is not None else None
     p = _parse_ratio(args.p) if args.p is not None else None
-    try:
-        exact = Params.exact(args.N, p=p, alpha=alpha)
-        return exact if mode == "exact" else Params.stable(args.N, p=p, alpha=alpha)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    exact = Params.exact(args.N, p=p, alpha=alpha)
+    return exact if mode == "exact" else Params.stable(args.N, p=p, alpha=alpha)
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -145,11 +155,22 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _check_exact_size(command: str, params: Params, budget: int) -> None:
+    """Refuse exact params whose N * (decimal digits of d), p = a/d, is over budget."""
+    if not params.is_exact:
+        return
+    with _unlimited_int_digits():
+        nd = params.N * len(str(params.p.denominator))
+    if nd > budget:
+        raise UsageError(f"{command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}")
+
+
 def run_pmf(args) -> int:
     budget = PMF_MAX_N[args.mode]
     if args.N > budget:
         raise UsageError(f"pmf --mode {args.mode} serves N <= {budget}, got N={args.N}")
     params = _build_params(args, args.mode)
+    _check_exact_size("pmf", params, PMF_MAX_ND)
     table = dist.pmf_table(args.family, params)
     # Rows are generated as they are written, in CSV and JSON alike.
     if params.is_exact:
@@ -168,15 +189,14 @@ def run_pmf(args) -> int:
 
 def run_moments(args) -> int:
     # Float Avalanche moments sum the float table that `pmf` builds, so they
-    # share its budget; the Abelian moments are closed forms.
+    # share its budget; the float Abelian moments are closed forms.  Exact
+    # moments of every family carry the digit budget.
     budget = PMF_MAX_N["float"]
     if args.family != "abelian" and args.mode == "float" and args.N > budget:
         raise UsageError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
     params = _build_params(args, args.mode)
-    try:
-        m = dist.moments(args.family, params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    _check_exact_size("moments", params, MOMENTS_MAX_ND)
+    m = dist.moments(args.family, params)
     fmt = str if params.is_exact else float
     columns = ["N", "alpha", "mean", "second_moment", "variance"]
     with _unlimited_int_digits():
@@ -192,10 +212,7 @@ def run_moments(args) -> int:
 
 
 def run_limit(args) -> int:
-    try:
-        rows = dist.convergence_table(float(_parse_ratio(args.alpha)), args.N)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    rows = dist.convergence_table(float(_parse_ratio(args.alpha)), args.N)
     columns = ["N", "variance", "limit", "abs_error"]
     out = []
     for row in rows:
@@ -333,7 +350,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"abeliand: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

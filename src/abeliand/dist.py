@@ -390,7 +390,12 @@ def _float_block(family: str, params: Params, b: np.ndarray, log_factorial):
 
 
 def pmf(family: str, params: Params, b: int) -> Number:
-    """P(family = b): the exact term, or the float table kernel at one point."""
+    """P(family = b): the exact term, or the float table kernel at one point.
+
+    abelian:   P(Z = b) = C * binom(N-1,b-1) * p^(b-1) * (1-bp)^(N-b-1) * b^(b-2)
+    avalanche: P(X = b) = binom(N,b) * p^b * (1-(b+1)p)^(N-b) * (b+1)^(b-1)
+    shifted:   P(Y = b) = P(X = b-1) on the shifted support 1..N+1
+    """
     sup = support(family, params.N)
     if b not in sup:
         raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
@@ -398,21 +403,6 @@ def pmf(family: str, params: Params, b: int) -> Number:
         exact_term, _, shift = _TERMS[family]
         return exact_term(params.N, params.p)(b - shift)
     return _float_block(family, params, np.array([b]), _log_factorial)[0].item()
-
-
-def abelian_pmf(params: Params, b: int) -> Number:
-    """P(Z = b) = C * binom(N-1,b-1) * p^(b-1) * (1-bp)^(N-b-1) * b^(b-2)."""
-    return pmf("abelian", params, b)
-
-
-def avalanche_pmf(params: Params, b: int) -> Number:
-    """P(X = b) = binom(N,b) * p^b * (1-(b+1)p)^(N-b) * (b+1)^(b-1)."""
-    return pmf("avalanche", params, b)
-
-
-def shifted_pmf(params: Params, b: int) -> Number:
-    """P(Y = b) = P(X = b-1) on the shifted support 1..N+1."""
-    return pmf("shifted", params, b)
 
 
 def pmf_table(family: str, params: Params) -> PmfTable:

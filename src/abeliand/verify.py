@@ -324,7 +324,7 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     table = dist.pmf_table("avalanche", exact)
     tv = total_variation(stats.empirical_pmf, stats.M, table)
     r.check(tv < 0.005, f"TV distance {tv:.5f} >= 0.005 at N=10, p=0.08")
-    gap = abs(stats.empirical_mean - float(dist.avalanche_mean(exact)))
+    gap = abs(stats.empirical_mean - dist.rounded_avalanche_mean(exact))
     r.check(
         gap <= 4 * stats.stderr_mean,
         f"empirical mean off by {gap:.5f} (> 4 stderr) at N=10, p=0.08",
@@ -344,7 +344,7 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
             pvalue >= 1e-4,
             f"chi-square rejects at N={N}, p=0.8/{N}: p-value {pvalue:.2e}",
         )
-        mean_gap = abs(st.empirical_mean - float(dist.avalanche_mean(ex)))
+        mean_gap = abs(st.empirical_mean - dist.rounded_avalanche_mean(ex))
         r.check(
             mean_gap <= 4 * st.stderr_mean,
             f"empirical mean off by {mean_gap:.5f} (> 4 stderr) at N={N}, p=0.8/{N}",

@@ -329,6 +329,67 @@ def test_float_moments_budget_admits_its_limit(capsys, monkeypatch, family):
     assert out.splitlines()[1] == f"{N},0.5,1.0,2.0,1.0"
 
 
+def exact_size_message(command, budget, nd):
+    return f"abeliand: error: {command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}\n"
+
+
+@pytest.mark.parametrize(
+    "family, N, p, nd",
+    [
+        ("abelian", 2000, "1/10000000000", 2000 * 11),
+        ("avalanche", 100, f"1/{10**1000 + 7}", 100 * 1001),
+    ],
+)
+def test_exact_pmf_refuses_digits_over_budget(capsys, monkeypatch, family, N, p, nd):
+    def no_table(*args):
+        raise AssertionError("pmf_table called on refused input")
+
+    monkeypatch.setattr(cli.dist, "pmf_table", no_table)
+    code, out, err = run(capsys, "pmf", "--family", family, "--N", str(N), "--p", p)
+    assert code == 2
+    assert out == ""
+    assert err == exact_size_message("pmf", cli.PMF_MAX_ND, nd)
+
+
+def test_exact_pmf_digit_budget_admits_its_edge(capsys, monkeypatch):
+    # N = 2000 with a 10-digit d is at the budget; the table is stubbed
+    assert 2000 * 10 == cli.PMF_MAX_ND
+    one = lambda family, params: dist.PmfTable(family, params, range(1, 2), (Fraction(1),), None)
+    monkeypatch.setattr(cli.dist, "pmf_table", one)
+    code, out, _ = run(capsys, "pmf", "--family", "abelian", "--N", "2000", "--p", "1/1000000000")
+    assert code == 0
+    assert out == "b,prob_num,prob_den\n1,1,1\n"
+
+
+@pytest.mark.parametrize(
+    "family, N, ratio, nd",
+    [
+        ("abelian", 20001, ("--alpha", "1/2"), 20001 * 5),
+        ("abelian", 10**6, ("--alpha", "1/2"), 10**6 * 7),
+        ("avalanche", 30, ("--p", f"1/{10**3333}"), 30 * 3334),
+    ],
+)
+def test_exact_moments_refuse_digits_over_budget(capsys, monkeypatch, family, N, ratio, nd):
+    def no_moments(*args):
+        raise AssertionError("moments computed on refused input")
+
+    monkeypatch.setattr(cli.dist, "moments", no_moments)
+    code, out, err = run(capsys, "moments", "--family", family, "--N", str(N), *ratio)
+    assert code == 2
+    assert out == ""
+    assert err == exact_size_message("moments", cli.MOMENTS_MAX_ND, nd)
+
+
+def test_exact_moments_digit_budget_admits_its_edge(capsys, monkeypatch):
+    # N = 20000 at alpha = 1/2 has d = 40000, five digits: at the budget
+    assert 20000 * 5 == cli.MOMENTS_MAX_ND
+    one = Fraction(1)
+    monkeypatch.setattr(cli.dist, "moments", lambda family, params: dist.Moments(one, one, one, "exact"))
+    code, out, _ = run(capsys, "moments", "--N", "20000", "--alpha", "1/2")
+    assert code == 0
+    assert out.splitlines()[1] == "20000,1/2,1,1,1"
+
+
 def test_limit_table(capsys):
     code, out, _ = run(capsys, "limit", "--alpha", "0.5", "--N", "100", "1000")
     assert code == 0

@@ -17,11 +17,9 @@ from abeliand.dist import (
     FAMILIES,
     Params,
     abelian_mean,
-    abelian_pmf,
     abelian_second_moment,
     abelian_variance,
     avalanche_mean,
-    avalanche_pmf,
     brute_force_moment,
     convergence_table,
     j_decomposition,
@@ -29,7 +27,6 @@ from abeliand.dist import (
     normalization_C,
     pmf,
     pmf_table,
-    shifted_pmf,
     support,
     variance_limit,
 )
@@ -114,17 +111,17 @@ def test_normalization_values():
 
 def test_abelian_pmf_table_n2():
     params = Params.exact(2, p=Fraction(1, 4))
-    assert abelian_pmf(params, 1) == Fraction(2, 3)
-    assert abelian_pmf(params, 2) == Fraction(1, 3)  # (1-2p)^(-1) branch
+    assert pmf("abelian", params, 1) == Fraction(2, 3)
+    assert pmf("abelian", params, 2) == Fraction(1, 3)  # (1-2p)^(-1) branch
     with pytest.raises(ValueError):
-        abelian_pmf(params, 0)
+        pmf("abelian", params, 0)
     with pytest.raises(ValueError):
-        abelian_pmf(params, 3)
+        pmf("abelian", params, 3)
 
 
 def test_avalanche_pmf_table_n2():
     params = Params.exact(2, p=Fraction(1, 4))
-    table = [avalanche_pmf(params, b) for b in range(3)]
+    table = [pmf("avalanche", params, b) for b in range(3)]
     assert table == [Fraction(9, 16), Fraction(1, 4), Fraction(3, 16)]
     assert sum(table) == 1
 
@@ -132,27 +129,27 @@ def test_avalanche_pmf_table_n2():
 def test_avalanche_pmf_zero_exponent_at_top():
     # at b = N the (1-(b+1)p) base may be negative; the term must be 1
     params = Params.exact(2, p=Fraction(2, 5))
-    assert avalanche_pmf(params, 2) == Fraction(4, 25) * 3
+    assert pmf("avalanche", params, 2) == Fraction(4, 25) * 3
 
 
 def test_avalanche_pmf_n1():
     params = Params.exact(1, p=Fraction(3, 10))
-    assert avalanche_pmf(params, 0) == Fraction(7, 10)
-    assert avalanche_pmf(params, 1) == Fraction(3, 10)
+    assert pmf("avalanche", params, 0) == Fraction(7, 10)
+    assert pmf("avalanche", params, 1) == Fraction(3, 10)
 
 
 def test_shifted_pmf_is_avalanche_shift():
     params = Params.exact(2, p=Fraction(1, 4))
-    assert shifted_pmf(params, 1) == Fraction(9, 16)
-    assert shifted_pmf(params, 3) == Fraction(3, 16)
-    assert sum(shifted_pmf(params, b) for b in range(1, 4)) == 1
+    assert pmf("shifted", params, 1) == Fraction(9, 16)
+    assert pmf("shifted", params, 3) == Fraction(3, 16)
+    assert sum(pmf("shifted", params, b) for b in range(1, 4)) == 1
     with pytest.raises(ValueError):
-        shifted_pmf(params, 0)
+        pmf("shifted", params, 0)
 
 
 def test_abelian_pmf_n1_is_point_mass():
     params = Params.exact(1, p=Fraction(1, 3))
-    assert abelian_pmf(params, 1) == 1
+    assert pmf("abelian", params, 1) == 1
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 12])
@@ -665,6 +662,33 @@ def test_float_j_tail_accuracy(N, log_alpha):
     second, variance = j_tail_bounds(params.alpha)
     assert abs(Fraction(approx.second_moment) / exact.second_moment - 1) <= second
     assert abs(Fraction(approx.variance) / exact.variance - 1) <= variance
+
+
+# Float variance failures that one positive-term second moment (ROADMAP
+# item 2) is to fix, against the exact variance of the float p the library
+# holds.  Measured on today's paths: -1.1e-16 and -2.2e-16 at alpha = 1e-300,
+# N = 2 and 10 (exact 5e-301 and 9e-301); relative errors 5.7e-2 and 4.1e-5
+# at N = 1000, alpha = 1e-12 and 1e-9; 1.4e-4 and 2.8e-5 at N = 1001 and
+# 2000, alpha = 0.999999.  The bounds are that fix's prototype errors with a
+# margin.  The marks are strict, so the fix must remove them.
+FLOAT_VARIANCE_XFAIL = pytest.mark.xfail(strict=True, reason="the float variance cancels (ROADMAP item 2)")
+
+
+@FLOAT_VARIANCE_XFAIL
+@pytest.mark.parametrize("N", [2, 10])
+def test_float_variance_nonnegative_at_tiny_alpha(N):
+    assert abelian_variance(Params.stable(N, alpha=1e-300)).variance >= 0
+
+
+@FLOAT_VARIANCE_XFAIL
+@pytest.mark.parametrize(
+    "N, alpha, bound",
+    [(1000, 1e-12, 1e-12), (1000, 1e-9, 1e-12), (1001, 0.999999, 1e-9), (2000, 0.999999, 1e-9)],
+)
+def test_float_variance_relative_error(N, alpha, bound):
+    params = Params.stable(N, alpha=alpha)
+    exact = abelian_variance(Params.exact(N, p=Fraction(params.p))).variance
+    assert abs(Fraction(abelian_variance(params).variance) / exact - 1) <= bound
 
 
 # sha256 of ",".join(q.hex() for q in probs_float) for each float table.
