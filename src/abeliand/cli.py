@@ -189,8 +189,7 @@ def run_pmf(args) -> int:
 
 def run_moments(args) -> int:
     # Float Avalanche moments sum the float table that `pmf` builds, so they
-    # share its budget; the float Abelian moments are closed forms.  Exact
-    # moments of every family carry the digit budget.
+    # share its budget; the float Abelian moments are closed forms.
     budget = PMF_MAX_N["float"]
     if args.family != "abelian" and args.mode == "float" and args.N > budget:
         raise UsageError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")

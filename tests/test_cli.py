@@ -367,6 +367,8 @@ def test_exact_pmf_digit_budget_admits_its_edge(capsys, monkeypatch):
         ("abelian", 20001, ("--alpha", "1/2"), 20001 * 5),
         ("abelian", 10**6, ("--alpha", "1/2"), 10**6 * 7),
         ("avalanche", 30, ("--p", f"1/{10**3333}"), 30 * 3334),
+        # d = 1000 * 10^4298 has 4302 digits, past Python's int-to-str limit
+        ("abelian", 1000, ("--alpha", f"1/{10**4298}"), 1000 * 4302),
     ],
 )
 def test_exact_moments_refuse_digits_over_budget(capsys, monkeypatch, family, N, ratio, nd):
