@@ -393,6 +393,27 @@ def _falling_power_sum(n, p):
     )
 
 
+def _avalanche_second_moment_sum(n, p):
+    # E[X^2] = sum_{i=1..n} (i^2 + 3i - 2)/2 * (n)_i p^i written term by term
+    return sum(
+        (Fraction(i * i + 3 * i - 2, 2) * falling_factorial(n, i) * p**i for i in range(1, n + 1)),
+        start=Fraction(0),
+    )
+
+
+@pytest.mark.parametrize("N", range(1, 31))
+def test_avalanche_second_moment_series_matches_brute_force(N):
+    # The series that the Avalanche and shifted moments are built from,
+    # held to direct summation over the exact table; Y = X + 1 gives
+    # E[Y^2] = E[X^2] + 2E[X] + 1.
+    for alpha in ALPHAS:
+        params = Params.exact(N, alpha=alpha)
+        second = _avalanche_second_moment_sum(N, params.p)
+        assert second == brute_force_moment("avalanche", params, 2)
+        shifted = second + 2 * _falling_power_sum(N, params.p) + 1
+        assert shifted == brute_force_moment("shifted", params, 2)
+
+
 @pytest.mark.parametrize("N", range(1, 41))
 def test_exact_series_match_term_by_term_oracle(N):
     for alpha in ALPHAS:
