@@ -50,10 +50,12 @@ PMF_MAX_N = {"exact": 2000, "float": 10**6}
 # End to end on the same VM: exact `pmf` takes 33 s and prints 70 MB at the
 # pmf cap's worst point, N = 2000 and alpha = 999999/1000000 (D = 10), and
 # 2.6 s at N = 200, D = 100; N = 100 with D = 1001, refused, takes 27 s.
-# The Abelian moments sum an N-term series of such integers, quadratic in N:
-# 0.6 s at N = 10^4 and 1.4 s at N = 2*10^4 (alpha = 1/2, D = 5), 1.0 s at
-# N = 9000, D = 10; without the cap N = 10^6 would run about an hour.  The
-# brute-force moments of the other families (N <= 30) take 11 s at D = 3333.
+# Every family's moments sum an N-term series of such integers, quadratic in
+# N.  At N = 2*10^4, alpha = 1/2 (D = 5) they take 1.4 s end to end for the
+# Abelian family and 3.9 s for the Avalanche family (2.2 s in process, most
+# of it the Fractions of E(X^2) - E(X)^2); the Abelian moments take 0.6 s at
+# N = 10^4 and 1.0 s at N = 9000, D = 10.  Without the cap N = 10^6 would
+# run about an hour.
 PMF_MAX_ND = 20_000
 MOMENTS_MAX_ND = 100_000
 
@@ -188,8 +190,10 @@ def run_pmf(args) -> int:
 
 
 def run_moments(args) -> int:
-    # Float Avalanche moments sum the float table that `pmf` builds, so they
-    # share its budget; the float Abelian moments are closed forms.
+    # Float Avalanche and shifted moments sum a falling-power series whose
+    # terms fall by alpha each, O(sqrt N) of them near alpha = 1: 7 ms at
+    # N = 10^6 and 9 s at N = 10^12, so they keep `pmf`'s float budget.  The
+    # float Abelian moments are closed forms.
     budget = PMF_MAX_N["float"]
     if args.family != "abelian" and args.mode == "float" and args.N > budget:
         raise UsageError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
@@ -211,7 +215,10 @@ def run_moments(args) -> int:
 
 
 def run_limit(args) -> int:
-    rows = dist.convergence_table(float(_parse_ratio(args.alpha)), args.N)
+    alpha = _parse_ratio(args.alpha)
+    if not 0 < alpha < 1:  # before float(), which overflows on 1e400
+        raise UsageError("alpha must lie in (0, 1)")
+    rows = dist.convergence_table(float(alpha), args.N)
     columns = ["N", "variance", "limit", "abs_error"]
     out = []
     for row in rows:

@@ -21,14 +21,15 @@ past them, one math.lgamma per log-factorial they read.  In either mode
 scalar pmf runs the table's own per-entry kernel (in float mode on a
 one-point block, unscreened), so it returns the same value as the table.
 
-Float mode takes E(X) and the second-moment bracket from one running
-product of the falling-power terms (n)_i p^i, sums the bracket with a
-single compensated fsum and switches to the J-term tail form for large N,
-where the bracket cancels catastrophically.  Exact mode builds the same
-series from one integer generator of its partial sums and terms over d^k:
-the exact mean and bracket take its last partial sum, and
-rounded_avalanche_mean stops on a prefix.  J1 and the closed form of J3
-are written once, for the float tail and the exact J-term rewrite alike.
+Moments come from one falling-power series, never from a table.  Float
+mode takes E(X), E(X^2) and the Abelian second-moment bracket from one
+running product of the terms (n)_i p^i, one compensated fsum each; the
+bracket switches to the J-term tail form for large N, where it cancels
+catastrophically.  Exact mode builds the same series from one integer
+generator of its partial sums and terms over d^k: the mean and bracket take
+its last partial sum, E(X^2) weights its terms, and rounded_avalanche_mean
+stops on a prefix.  J1 and the closed form of J3 are written once, for the
+float tail and the exact J-term rewrite alike.
 The exact rewrite evaluates the Stirling-row polynomials P_i(N) by integer
 Horner, and J2, J4, J5 and J6 each as one Horner evaluation in p.
 
@@ -542,34 +543,45 @@ def abelian_variance(params: Params) -> Moments:
     return Moments(mean, second, second - mean * mean, params.mode)
 
 
-def _raw_moments(family: str, params: Params, orders) -> list[Number]:
-    """Raw moments of each order in ``orders``, summed over one ``pmf_table``.
+def _avalanche_second_moment(params: Params) -> Number:
+    """E(X^2) = sum_{i=1..N} (i^2 + 3i - 2)/2 * (N)_i p^i, every term positive.
 
-    Exact mode is cost-guarded to N <= 30; float mode sums the float table
-    instead and carries no guard.
+    Checked against brute_force_moment, not proved.
     """
-    if min(orders) < 0:
+    N, p = params.N, params.p
+    weights = (i * (i + 3) // 2 - 1 for i in range(1, N + 1))
+    if not params.is_exact:
+        return math.fsum(w * t for w, t in zip(weights, _falling_powers(N, p)))
+    a, d = p.numerator, p.denominator
+    num = 0
+    for w, (_, t) in zip(weights, _falling_power_series(N, a, d)):
+        num = num * d + w * t  # over d^k at step k, as s_k
+    return Fraction(num, d**N)
+
+
+def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
+    """k-th raw moment summed over the exact table, N <= 30: the oracle for every series."""
+    if k < 0:
         raise ValueError("k must be non-negative")
-    if params.is_exact and params.N > _BRUTE_FORCE_N_MAX:
+    if not params.is_exact:
+        raise ValueError("brute_force_moment requires exact-mode params")
+    if params.N > _BRUTE_FORCE_N_MAX:
         raise ValueError(f"exact brute force guarded to N <= {_BRUTE_FORCE_N_MAX}")
     table = pmf_table(family, params)
-    if params.is_exact:
-        return [sum(Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact)) for k in orders]
-    probs = table.probs_float.tolist()
-    return [math.fsum(float(b) ** k * q for b, q in zip(table.support, probs)) for k in orders]
-
-
-def brute_force_moment(family: str, params: Params, k: int) -> Number:
-    """k-th raw moment by direct summation: the exact oracle for every closed form."""
-    return _raw_moments(family, params, (k,))[0]
+    return sum(Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact))
 
 
 def moments(family: str, params: Params) -> Moments:
-    """Moments for any family: closed forms for Abelian, one table otherwise."""
+    """Moments for any family from the falling-power series; the shifted Y = X + 1 keeps Var X."""
     if family == "abelian":
         return abelian_variance(params)
-    m1, m2 = _raw_moments(family, params, (1, 2))
-    return Moments(m1, m2, m2 - m1 * m1, params.mode)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    mean, second = avalanche_mean(params), _avalanche_second_moment(params)
+    variance = second - mean * mean
+    if family == "shifted":
+        mean, second = mean + 1, second + 2 * mean + 1
+    return Moments(mean, second, variance, params.mode)
 
 
 def j_decomposition(params: Params) -> JDecomposition:

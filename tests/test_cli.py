@@ -294,19 +294,40 @@ def test_moments_avalanche_family(capsys):
     assert row[2] == "5/8"
 
 
-def test_moments_exact_guard_maps_to_usage_error(capsys):
-    code, _, err = run(
-        capsys, "moments", "--family", "avalanche", "--N", "40", "--alpha", "1/2",
+def test_exact_moments_serve_past_the_brute_force_guard(capsys):
+    # the falling-power series term by term: E(X) = sum_i (N)_i p^i and
+    # E(X^2) = sum_i (i^2 + 3i - 2)/2 (N)_i p^i
+    N, p = 40, Fraction(1, 80)
+    terms = [(i, math.perm(N, i) * p**i) for i in range(1, N + 1)]
+    mean = sum(t for _, t in terms)
+    second = sum(Fraction(i * i + 3 * i - 2, 2) * t for i, t in terms)
+    code, out, err = run(
+        capsys, "moments", "--family", "avalanche", "--N", str(N), "--alpha", "1/2",
     )
-    assert code == 2 and "brute force" in err
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == f"40,1/2,{mean},{second},{second - mean**2}"
+
+
+def test_float_shifted_variance_at_tiny_alpha(capsys):
+    # Var Y = Var X = 1e-300 here; Y's E(Y^2) - E(Y)^2 would round to 0.0
+    rows = {}
+    for family in ("avalanche", "shifted"):
+        code, out, _ = run(
+            capsys, "moments", "--family", family, "--mode", "float", "--N", "10",
+            "--alpha", "1e-300",
+        )
+        assert code == 0
+        rows[family] = out.splitlines()[1].split(",")
+    assert float(rows["shifted"][4]) > 0
+    assert rows["shifted"][4] == rows["avalanche"][4]
 
 
 @pytest.mark.parametrize("family", ["avalanche", "shifted"])
 def test_float_moments_refuse_n_over_budget(capsys, monkeypatch, family):
-    def no_table(*args):
-        raise AssertionError("pmf_table called on refused input")
+    def no_moments(*args):
+        raise AssertionError("moments computed on refused input")
 
-    monkeypatch.setattr(cli.dist, "pmf_table", no_table)
+    monkeypatch.setattr(cli.dist, "moments", no_moments)
     N = cli.PMF_MAX_N["float"] + 1
     code, out, err = run(
         capsys, "moments", "--family", family, "--N", str(N), "--alpha", "1/2",
@@ -319,7 +340,7 @@ def test_float_moments_refuse_n_over_budget(capsys, monkeypatch, family):
 
 @pytest.mark.parametrize("family", ["avalanche", "shifted", "abelian"])
 def test_float_moments_budget_admits_its_limit(capsys, monkeypatch, family):
-    # the table families are served up to the budget; the Abelian closed form has none
+    # the series families are served up to the budget; the Abelian closed form has none
     N = cli.PMF_MAX_N["float"] + (family == "abelian")
     monkeypatch.setattr(cli.dist, "moments", lambda family, params: dist.Moments(1.0, 2.0, 1.0, "float"))
     code, out, _ = run(
@@ -415,6 +436,14 @@ def test_limit_json(capsys):
 def test_limit_rejects_bad_alpha(capsys):
     code, _, err = run(capsys, "limit", "--alpha", "1")
     assert code == 2 and "alpha" in err
+
+
+@pytest.mark.parametrize("alpha", ["1e400", "1e-400"])
+def test_limit_refuses_alpha_out_of_float_range(capsys, alpha):
+    code, out, err = run(capsys, "limit", "--alpha", alpha)
+    assert code == 2
+    assert out == ""
+    assert err == "abeliand: error: alpha must lie in (0, 1)\n"
 
 
 def test_sample_json_fields(capsys):

@@ -209,6 +209,8 @@ def test_brute_force_basics():
         brute_force_moment("abelian", Params.exact(31, alpha=Fraction(1, 2)), 1)
     with pytest.raises(ValueError):
         brute_force_moment("nonsense", params, 1)
+    with pytest.raises(ValueError):
+        brute_force_moment("abelian", Params.stable(2, p=0.25), 1)
 
 
 def test_shift_identity_exact():
@@ -372,17 +374,54 @@ def test_moments_dispatch_families():
         moments("nope", params)
 
 
-@pytest.mark.parametrize("family", ["avalanche", "shifted"])
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize(
     "params", [Params.exact(12, alpha=Fraction(9, 10)), Params.stable(3000, alpha=0.9)]
 )
-def test_moments_build_one_table(family, params):
-    with mock.patch.object(dist, "pmf_table", wraps=dist.pmf_table) as built:
+def test_moments_build_no_table(family, params):
+    with mock.patch.object(dist, "pmf_table", side_effect=AssertionError("table built")):
         m = moments(family, params)
-    assert built.call_count == 1
-    # the same sums, bit for bit in float mode, as one table per moment
+    assert m.mode == params.mode
+
+
+@pytest.mark.parametrize("family", ["avalanche", "shifted"])
+def test_series_moments_equal_brute_force(family):
+    params = Params.exact(12, alpha=Fraction(9, 10))
+    m = moments(family, params)
     assert m.mean == brute_force_moment(family, params, 1)
     assert m.second_moment == brute_force_moment(family, params, 2)
+    assert m.variance == m.second_moment - m.mean**2
+
+
+@pytest.mark.parametrize("family", ["avalanche", "shifted"])
+def test_float_series_moments_at_n3000(family):
+    params = Params.stable(3000, alpha=0.9)
+    exact = moments(family, Params.exact(3000, p=Fraction(params.p)))
+    m = moments(family, params)
+    assert m.mean == pytest.approx(float(exact.mean), rel=1e-15)
+    assert m.second_moment == pytest.approx(float(exact.second_moment), rel=1e-15)
+    assert m.variance == pytest.approx(float(exact.variance), rel=1e-14)
+
+
+# Stated accuracy of the float Avalanche moments, sums of positive series
+# terms, against the exact moments of the float p the library holds.  The
+# shifted family adds 1 and 2E[X] + 1 to them and keeps the variance as is.
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(1, 200), log_alpha=st.floats(math.log(1e-300), math.log(0.999999)))
+@example(N=1000, log_alpha=math.log(1e-12))
+@example(N=1000, log_alpha=math.log(0.5))
+@example(N=1000, log_alpha=math.log(0.999999))
+def test_float_avalanche_moments_accuracy(N, log_alpha):
+    """About 3 s: the exact moments at the float p of a tiny alpha hold
+    integers of up to 10^5 digits (N = 200, alpha near 1e-300)."""
+    params = Params.stable(N, alpha=min(math.exp(log_alpha), 0.999999))
+    exact = moments("avalanche", Params.exact(N, p=Fraction(params.p)))
+    m = moments("avalanche", params)
+    assert abs(Fraction(m.mean) - exact.mean) <= Fraction(1e-15) * exact.mean
+    assert abs(Fraction(m.second_moment) - exact.second_moment) <= Fraction(1e-15) * exact.second_moment
+    assert abs(Fraction(m.variance) - exact.variance) <= Fraction(1e-15) * exact.second_moment
+    shifted = moments("shifted", params)
+    assert shifted == dist.Moments(m.mean + 1, m.second_moment + 2 * m.mean + 1, m.variance, "float")
 
 
 def _falling_power_sum(n, p):
