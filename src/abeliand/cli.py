@@ -191,9 +191,10 @@ def run_pmf(args) -> int:
 
 def run_moments(args) -> int:
     # Float Avalanche and shifted moments sum a falling-power series whose
-    # terms fall by alpha each, O(sqrt N) of them near alpha = 1: 7 ms at
-    # N = 10^6 and 9 s at N = 10^12, so they keep `pmf`'s float budget.  The
-    # float Abelian moments are closed forms.
+    # terms fall by a factor below alpha each, O(sqrt N) of them near
+    # alpha = 1: 8 ms at N = 10^6 and 1.0 s at N = 10^10 (alpha = 0.999999),
+    # so they keep `pmf`'s float budget.  The float Abelian moments are
+    # closed forms.
     budget = PMF_MAX_N["float"]
     if args.family != "abelian" and args.mode == "float" and args.N > budget:
         raise UsageError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
