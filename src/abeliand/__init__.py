@@ -36,7 +36,6 @@ from .stirling import (
     E2_LOWER,
     BoundFCertificate,
     LemmaPCertificate,
-    Polynomial,
     ProductBoundCertificate,
     StirlingRow,
     bound_f,

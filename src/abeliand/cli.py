@@ -41,7 +41,13 @@ _JSON_BATCH = 64
 # interpreter start 0.3 s and the table 0.04 s (its 3783 nonzero entries),
 # the rest output formatting.  Where no entry underflows (alpha = 0.999999)
 # the table takes 0.7 s of 3-5 s and the run peaks at 48 MB.  Both grow
-# linearly in N.
+# linearly in N.  Float `moments` of every family and `limit` keep the
+# float budget.  The Avalanche and shifted series have O(sqrt N) terms near
+# alpha = 1 (8 ms at N = 10^6, 1.0 s at N = 10^10, alpha = 0.999999), but
+# above N = 1000 the Abelian E[Z^2] streams up to N-2 J-tail terms: about
+# 1 s end to end at N = 10^6, alpha = 0.999999.  The Abelian variance holds
+# a stated relative error up to N = 10^6; past it the error grows about
+# linearly in N (2.2e-10 at N = 10^7, 1.3e-7 at N = 10^10, alpha = 0.5).
 PMF_MAX_N = {"exact": 2000, "float": 10**6}
 
 # Largest N*D, D the decimal digits of d in p = a/d, that exact `pmf` and
@@ -68,16 +74,12 @@ SAMPLE_MAX_N = 10**6
 SAMPLE_MAX_UNIFORMS = 10**9
 
 
-class UsageError(ValueError):
-    """A refused command line; main reports it, as any library ValueError, with exit 2."""
-
-
 def _parse_ratio(text: str) -> Fraction:
     """Parse "num/den" or a decimal literal into an exact Fraction."""
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse {text!r} as a fraction or decimal") from exc
+        raise ValueError(f"cannot parse {text!r} as a fraction or decimal") from exc
     return value
 
 
@@ -98,11 +100,11 @@ def _resolve_seed(arg_seed) -> int:
             try:
                 seed = int(env)
             except ValueError:
-                raise UsageError(f"ABELIAND_SEED must be an integer, got {env!r}") from None
+                raise ValueError(f"ABELIAND_SEED must be an integer, got {env!r}") from None
         else:
             seed = DEFAULT_SEED
     if seed < 0:
-        raise UsageError("seed must be non-negative")
+        raise ValueError("seed must be non-negative")
     return seed
 
 
@@ -164,13 +166,13 @@ def _check_exact_size(command: str, params: Params, budget: int) -> None:
     with _unlimited_int_digits():
         nd = params.N * len(str(params.p.denominator))
     if nd > budget:
-        raise UsageError(f"{command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}")
+        raise ValueError(f"{command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}")
 
 
 def run_pmf(args) -> int:
     budget = PMF_MAX_N[args.mode]
     if args.N > budget:
-        raise UsageError(f"pmf --mode {args.mode} serves N <= {budget}, got N={args.N}")
+        raise ValueError(f"pmf --mode {args.mode} serves N <= {budget}, got N={args.N}")
     params = _build_params(args, args.mode)
     _check_exact_size("pmf", params, PMF_MAX_ND)
     table = dist.pmf_table(args.family, params)
@@ -190,14 +192,9 @@ def run_pmf(args) -> int:
 
 
 def run_moments(args) -> int:
-    # Float Avalanche and shifted moments sum a falling-power series whose
-    # terms fall by a factor below alpha each, O(sqrt N) of them near
-    # alpha = 1: 8 ms at N = 10^6 and 1.0 s at N = 10^10 (alpha = 0.999999),
-    # so they keep `pmf`'s float budget.  The float Abelian moments are
-    # closed forms.
     budget = PMF_MAX_N["float"]
-    if args.family != "abelian" and args.mode == "float" and args.N > budget:
-        raise UsageError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
+    if args.mode == "float" and args.N > budget:
+        raise ValueError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
     params = _build_params(args, args.mode)
     _check_exact_size("moments", params, MOMENTS_MAX_ND)
     m = dist.moments(args.family, params)
@@ -218,7 +215,10 @@ def run_moments(args) -> int:
 def run_limit(args) -> int:
     alpha = _parse_ratio(args.alpha)
     if not 0 < alpha < 1:  # before float(), which overflows on 1e400
-        raise UsageError("alpha must lie in (0, 1)")
+        raise ValueError("alpha must lie in (0, 1)")
+    budget = PMF_MAX_N["float"]
+    if max(args.N) > budget:
+        raise ValueError(f"limit serves N <= {budget}, got N={max(args.N)}")
     rows = dist.convergence_table(float(alpha), args.N)
     columns = ["N", "variance", "limit", "abs_error"]
     out = []
@@ -236,11 +236,11 @@ def run_sample(args) -> int:
     params = _build_params(args, "float")
     seed = _resolve_seed(args.seed)
     if args.M < 1:
-        raise UsageError("M must be >= 1")
+        raise ValueError("M must be >= 1")
     if args.N > SAMPLE_MAX_N:
-        raise UsageError(f"sample serves N <= {SAMPLE_MAX_N}, got N={args.N}")
+        raise ValueError(f"sample serves N <= {SAMPLE_MAX_N}, got N={args.N}")
     if args.N * args.M > SAMPLE_MAX_UNIFORMS:
-        raise UsageError(f"sample serves N*M <= {SAMPLE_MAX_UNIFORMS}, got N*M={args.N * args.M}")
+        raise ValueError(f"sample serves N*M <= {SAMPLE_MAX_UNIFORMS}, got N*M={args.N * args.M}")
     stats = sampler.monte_carlo(params, args.M, seed)
     payload = {
         "family": "avalanche",
@@ -262,7 +262,7 @@ def run_sample(args) -> int:
 def run_verify(args) -> int:
     for flag, value in (("--max-n", args.max_n), ("--samples", args.samples)):
         if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     seed = _resolve_seed(args.seed)
     names = args.suite if args.suite else None
     results = verify.run_suites(names, max_n=args.max_n, samples=args.samples, seed=seed)

@@ -41,31 +41,6 @@ class StirlingRow:
     coeffs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial with exact coefficients, ascending degree.
-
-    Int coefficients stay ints and any other coefficient becomes a Fraction,
-    so an integer polynomial evaluates at an integer in integer arithmetic.
-    """
-
-    coeffs: tuple[int | Fraction, ...]
-
-    def __post_init__(self):
-        cs = [c if isinstance(c, int) else Fraction(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        # -1 for the zero polynomial
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        return horner(self.coeffs, x)
-
-
 def horner(coeffs, x):
     """sum(c * x**j for j, c in enumerate(coeffs)) by Horner's rule; 0 if empty."""
     acc = 0
@@ -130,21 +105,26 @@ def falling_factorial(x, n: int):
     return result
 
 
-def poly_P(i: int) -> Polynomial:
-    """Degree-i polynomial with coefficients s(i+2,j;1), j = 0..i.
+def poly_P(i: int) -> tuple[int, ...]:
+    """Coefficients s(i+2,j;1), j = 0..i, of the degree-i polynomial P_i.
 
-    This is row i+2 with its two highest-order coefficients dropped.
+    Row i+2 with its two highest-order coefficients dropped: ints in
+    ascending degree, evaluated with ``horner``.
     """
     if i < 0:
         raise ValueError("i must be non-negative")
-    return Polynomial(stirling_row(i + 2).coeffs[: i + 1])
+    return stirling_row(i + 2).coeffs[: i + 1]
 
 
-def poly_h(i: int) -> Polynomial:
-    """x^(i+1) * ((i+2)(i+3)/2 - x), degree i+2, leading coefficient -1."""
+def poly_h(i: int) -> tuple[int, ...]:
+    """Coefficients of h_i(x) = x^(i+1) * ((i+2)(i+3)/2 - x).
+
+    Ints in ascending degree, evaluated with ``horner``: degree i+2, leading
+    coefficient -1.
+    """
     if i < 0:
         raise ValueError("i must be non-negative")
-    return Polynomial((0,) * (i + 1) + ((i + 2) * (i + 3) // 2, -1))
+    return (0,) * (i + 1) + ((i + 2) * (i + 3) // 2, -1)
 
 
 def bound_f(i: int) -> int:
@@ -208,9 +188,9 @@ def check_lemma_P(i: int, N: int) -> LemmaPCertificate:
         raise ValueError("i must be >= 1")
     if N - 3 < i:
         raise ValueError(f"need N - 3 >= i, got i={i}, N={N}")
-    p_at_N = poly_P(i)(N)
+    p_at_N = horner(poly_P(i), N)
     falling_part = falling_factorial(N - 1, i + 2)
-    h_part = poly_h(i)(N)
+    h_part = horner(poly_h(i), N)
     equality = p_at_N == falling_part + h_part
     gate = i >= split_index(N)
     inequalities = None

@@ -322,7 +322,7 @@ def test_float_shifted_variance_at_tiny_alpha(capsys):
     assert rows["shifted"][4] == rows["avalanche"][4]
 
 
-@pytest.mark.parametrize("family", ["avalanche", "shifted"])
+@pytest.mark.parametrize("family", ["avalanche", "shifted", "abelian"])
 def test_float_moments_refuse_n_over_budget(capsys, monkeypatch, family):
     def no_moments(*args):
         raise AssertionError("moments computed on refused input")
@@ -340,8 +340,8 @@ def test_float_moments_refuse_n_over_budget(capsys, monkeypatch, family):
 
 @pytest.mark.parametrize("family", ["avalanche", "shifted", "abelian"])
 def test_float_moments_budget_admits_its_limit(capsys, monkeypatch, family):
-    # the series families are served up to the budget; the Abelian closed form has none
-    N = cli.PMF_MAX_N["float"] + (family == "abelian")
+    # every family is served up to the one float budget
+    N = cli.PMF_MAX_N["float"]
     monkeypatch.setattr(cli.dist, "moments", lambda family, params: dist.Moments(1.0, 2.0, 1.0, "float"))
     code, out, _ = run(
         capsys, "moments", "--family", family, "--N", str(N), "--alpha", "1/2", "--mode", "float",
@@ -444,6 +444,28 @@ def test_limit_refuses_alpha_out_of_float_range(capsys, alpha):
     assert code == 2
     assert out == ""
     assert err == "abeliand: error: alpha must lie in (0, 1)\n"
+
+
+def test_limit_refuses_n_over_budget(capsys, monkeypatch):
+    def no_table(*args):
+        raise AssertionError("convergence_table called on refused input")
+
+    monkeypatch.setattr(cli.dist, "convergence_table", no_table)
+    N = cli.PMF_MAX_N["float"] + 1
+    code, out, err = run(capsys, "limit", "--alpha", "0.5", "--N", "100", str(N), "1000")
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: limit serves N <= {N - 1}, got N={N}\n"
+
+
+def test_limit_budget_admits_its_edge(capsys):
+    N = cli.PMF_MAX_N["float"]
+    code, out, _ = run(capsys, "limit", "--alpha", "0.5", "--N", str(N))
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[0] == str(N)
+    assert abs(float(row[1]) - (4 - 4e-5)) < 1e-9  # Var Z_N = 4 - 40/N + O(N^-2) at alpha = 1/2
+    assert float(row[2]) == 4.0
 
 
 def test_sample_json_fields(capsys):
