@@ -159,12 +159,21 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _decimal_digits(n: int) -> int:
+    """len(str(n)) for an int n >= 1, without str(): 17 s at a million digits."""
+    digits = int((n.bit_length() - 1) * 0.30102999566)  # <= log10 n: 0.30102999566 < log10 2
+    power = 10**digits
+    while n >= power:
+        digits += 1
+        power *= 10
+    return digits
+
+
 def _check_exact_size(command: str, params: Params, budget: int) -> None:
     """Refuse exact params whose N * (decimal digits of d), p = a/d, is over budget."""
     if not params.is_exact:
         return
-    with _unlimited_int_digits():
-        nd = params.N * len(str(params.p.denominator))
+    nd = params.N * _decimal_digits(params.p.denominator)
     if nd > budget:
         raise ValueError(f"{command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}")
 

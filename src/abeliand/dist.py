@@ -17,7 +17,8 @@ points.  Before the kernel runs on a block, the same log term, taken with
 Stirling log-factorials and numpy's log and log1p, screens out the points
 whose exp underflows; pmf_table writes +0.0 there, the kernel's own value,
 so a table makes math.* calls only at its nonzero entries and the few just
-past them, one math.lgamma per log-factorial they read.  In either mode
+past them, two math.lgamma calls per kept point (0.7 s at N = 10^6 and
+alpha = 0.999999, where none underflows), as scalar pmf.  In either mode
 scalar pmf runs the table's own per-entry kernel (in float mode on a
 one-point block, unscreened), so it returns the same value as the table.
 
@@ -290,25 +291,6 @@ def _log_factorial(j: np.ndarray) -> np.ndarray:
     return _map(math.lgamma, j + 1.0)
 
 
-def _log_factorials_once(N: int):
-    """log j! for int arrays j in 0..N, one math.lgamma per distinct j over all calls.
-
-    A table reads each j twice, as b-1 (or b) of one point and N-b of
-    another.  Only the entries it reads are computed, and only their pages
-    of the two (N+1)-entry arrays are touched.
-    """
-    lg = np.empty(N + 1)
-    known = np.zeros(N + 1, bool)
-
-    def log_factorial(j: np.ndarray) -> np.ndarray:
-        new = j[~known[j]]
-        lg[new] = _log_factorial(new)
-        known[new] = True
-        return lg[j]
-
-    return log_factorial
-
-
 _HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
 
@@ -384,10 +366,10 @@ _BLOCK = 1 << 14
 _SCREEN_CUT = -800.0
 
 
-def _float_block(family: str, params: Params, b: np.ndarray, log_factorial):
+def _float_block(family: str, params: Params, b: np.ndarray):
     """P(family = b) at an int64 array b, as a float64 array."""
     _, log_block, shift = _TERMS[family]
-    return _map(math.exp, log_block(params, b - shift, log_factorial, _math_log, _math_log1p))
+    return _map(math.exp, log_block(params, b - shift, _log_factorial, _math_log, _math_log1p))
 
 
 def pmf(family: str, params: Params, b: int) -> Number:
@@ -403,7 +385,7 @@ def pmf(family: str, params: Params, b: int) -> Number:
     if params.is_exact:
         exact_term, _, shift = _TERMS[family]
         return exact_term(params.N, params.p)(b - shift)
-    return _float_block(family, params, np.array([b]), _log_factorial)[0].item()
+    return _float_block(family, params, np.array([b]))[0].item()
 
 
 def pmf_table(family: str, params: Params) -> PmfTable:
@@ -415,13 +397,12 @@ def pmf_table(family: str, params: Params) -> PmfTable:
         probs = tuple(term(b - shift) for b in sup)
         return PmfTable(family, params, sup, probs, None)
     _, log_block, shift = _TERMS[family]
-    log_factorial = _log_factorials_once(params.N)
     probs = np.zeros(len(sup))
     for start in range(0, len(sup), _BLOCK):
         b = np.arange(sup.start + start, min(sup.start + start + _BLOCK, sup.stop))
         screen = log_block(params, b - shift, _stirling_log_factorial, np.log, np.log1p)
         kept = np.flatnonzero(screen >= _SCREEN_CUT)
-        probs[start + kept] = _float_block(family, params, b[kept], log_factorial)
+        probs[start + kept] = _float_block(family, params, b[kept])
     probs.flags.writeable = False
     return PmfTable(family, params, sup, None, probs)
 
@@ -642,7 +623,7 @@ def convergence_table(alpha: float, N_list) -> list[ConvergenceRow]:
         raise ValueError("N list must be nonempty")
     if Ns[0] < 2:
         raise ValueError("each N must be >= 2")
-    limit = alpha / (1.0 - alpha) ** 3
+    limit = float(variance_limit(alpha))
     rows = []
     for N in Ns:
         try:

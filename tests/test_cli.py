@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -411,6 +412,37 @@ def test_exact_moments_digit_budget_admits_its_edge(capsys, monkeypatch):
     code, out, _ = run(capsys, "moments", "--N", "20000", "--alpha", "1/2")
     assert code == 0
     assert out.splitlines()[1] == "20000,1/2,1,1,1"
+
+
+def test_decimal_digits_match_str():
+    for k in range(3001):
+        for n in (10**k - 1, 10**k, 10**k + 1):
+            if n:
+                assert cli._decimal_digits(n) == len(str(n)), n
+    rng = random.Random(18)
+    for _ in range(2000):
+        n = rng.getrandbits(rng.randint(1, 13000)) or 1
+        assert cli._decimal_digits(n) == len(str(n)), n
+
+
+@pytest.mark.parametrize(
+    "command, budget",
+    [(("moments",), cli.MOMENTS_MAX_ND), (("pmf", "--family", "abelian"), cli.PMF_MAX_ND)],
+    ids=["moments", "pmf"],
+)
+def test_exact_size_refusal_converts_no_decimal(capsys, monkeypatch, command, budget):
+    # d = 10^1000000: its decimal conversion alone took 17 s.  The refusal
+    # counts its digits with no str(), so lifting the int-to-str limit,
+    # which only a conversion needs, is never reached.
+    def no_conversion(limit):
+        raise AssertionError("int-to-str limit lifted for a refusal")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
+    monkeypatch.setattr(sys, "set_int_max_str_digits", no_conversion, raising=False)
+    code, out, err = run(capsys, *command, "--mode", "exact", "--N", "1", "--p", "1e-1000000")
+    assert code == 2
+    assert out == ""
+    assert err == exact_size_message(command[0], budget, 1000001)
 
 
 def test_limit_table(capsys):

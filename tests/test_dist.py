@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import math
 import sys
@@ -352,6 +353,17 @@ class TestConvergence:
             errs = [r.abs_error for r in rows]
             assert errs[0] > errs[1] > errs[2]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    @example(0.1)
+    @example(0.3)
+    @example(0.7)
+    def test_limit_is_the_float_of_the_exact_limit(self, alpha):
+        # alpha / (1.0 - alpha) ** 3 in floats differs from the correctly
+        # rounded limit by one rounding at about a quarter of all alphas
+        (row,) = convergence_table(alpha, [2])
+        assert row.limit == float(variance_limit(alpha))
+
     def test_small_n_matches_exact(self):
         (row,) = convergence_table(0.5, [2])
         assert row.variance == pytest.approx(2 / 9, abs=1e-12)
@@ -441,17 +453,43 @@ def _avalanche_second_moment_sum(n, p):
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _moment_series_coefficient(k, i):
+    # b_{k,i} = sum_{n=1..i+1} (n-1)^k n^(n-1) (-n)^(i-n+1) / (n! (i-n+1)!),
+    # the alpha^i coefficient of E[(Y-1)^k] for Y ~ Borel(alpha)
+    return sum(
+        Fraction((n - 1) ** k * n ** (n - 1) * (-n) ** (i - n + 1), math.factorial(n) * math.factorial(i - n + 1))
+        for n in range(1, i + 2)
+    )
+
+
+def _avalanche_moment_series(k, n, p):
+    # E[X^k] = sum_{i=0..n} b_{k,i} (n)_i p^i, checked here, not proved
+    return sum(
+        (_moment_series_coefficient(k, i) * falling_factorial(n, i) * p**i for i in range(n + 1)),
+        start=Fraction(0),
+    )
+
+
 @pytest.mark.parametrize("N", range(1, 31))
 def test_avalanche_second_moment_series_matches_brute_force(N):
     # The series that the Avalanche and shifted moments are built from,
     # held to direct summation over the exact table; Y = X + 1 gives
-    # E[Y^2] = E[X^2] + 2E[X] + 1.
+    # E[Y^2] = E[X^2] + 2E[X] + 1.  The general series in b_{k,i} is held
+    # there too for k <= 4, and E[Y^k] is the binomial expansion of
+    # E[(X+1)^k].
     for alpha in ALPHAS:
         params = Params.exact(N, alpha=alpha)
         second = _avalanche_second_moment_sum(N, params.p)
         assert second == brute_force_moment("avalanche", params, 2)
         shifted = second + 2 * _falling_power_sum(N, params.p) + 1
         assert shifted == brute_force_moment("shifted", params, 2)
+        raw = [Fraction(1)]  # E[X^0]
+        for k in (1, 2, 3, 4):
+            raw.append(_avalanche_moment_series(k, N, params.p))
+            assert raw[k] == brute_force_moment("avalanche", params, k)
+            shifted = sum(math.comb(k, j) * raw[j] for j in range(k + 1))
+            assert shifted == brute_force_moment("shifted", params, k)
 
 
 @pytest.mark.parametrize("N", range(1, 41))

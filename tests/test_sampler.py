@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abeliand import sampler
-from abeliand.dist import Params, avalanche_mean, pmf_table
+from abeliand.dist import Params, avalanche_mean, pmf_table, rounded_avalanche_mean
 from abeliand.sampler import (
     CHUNK,
     epsilon_sequence,
     monte_carlo,
     substream,
 )
+from abeliand.verify import _chi2_sf
 
 
 def test_hand_trace_three_steps():
@@ -140,6 +141,41 @@ def test_distribution_close_to_exact_table():
         for b, q in zip(table.support, table.probs_exact)
     )
     assert tv < 0.01
+
+
+def _pooled_chi2(counts, probs, M):
+    """Chi-square statistic and cells, with support points pooled in order
+    until each cell expects at least 5 draws; a short last cell joins the one
+    before it."""
+    cells = []  # [observed, expected]
+    for b, q in enumerate(probs):
+        if not cells or cells[-1][1] >= 5:
+            cells.append([0, 0.0])
+        cells[-1][0] += counts.get(b, 0)
+        cells[-1][1] += M * q
+    if len(cells) > 1 and cells[-1][1] < 5:
+        observed, expected = cells.pop()
+        cells[-1][0] += observed
+        cells[-1][1] += expected
+    scale = M / math.fsum(e for _, e in cells)
+    chi2 = math.fsum((o - e * scale) ** 2 / (e * scale) for o, e in cells)
+    return chi2, len(cells)
+
+
+@pytest.mark.parametrize("N, alpha", [(100, 0.99), (1000, 0.9)])
+def test_law_matches_float_table(N, alpha):
+    """The kernel's law at the benchmark's sampler points, seed 42: a pooled
+    chi-square against the float Avalanche table, and the mean against the
+    exact mean at the same float p.  A law-level test holds any kernel that
+    draws from the Avalanche law, whatever stream it reads."""
+    params = Params.stable(N, alpha=alpha)
+    stats = monte_carlo(params, CHUNK, 42)
+    table = pmf_table("avalanche", params)
+    chi2, cells = _pooled_chi2(stats.empirical_pmf, table.probs_float, stats.M)
+    pvalue = _chi2_sf(chi2, cells - 1)
+    assert pvalue >= 1e-4, (chi2, cells)
+    exact_mean = rounded_avalanche_mean(Params.exact(N, p=Fraction(params.p)))
+    assert abs(stats.empirical_mean - exact_mean) <= 4 * stats.stderr_mean
 
 
 def test_monte_carlo_rejects_bad_args():
