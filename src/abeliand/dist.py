@@ -3,15 +3,20 @@
 Two evaluation modes share one API.  Exact mode returns
 ``fractions.Fraction`` values, so normalization, moment identities and the
 J-term rewrite of the second moment can be asserted with equality.  It
-computes in integers: with p = a/d in lowest terms, an Avalanche entry at N
-is one integer numerator over d^N, reduced by the primes q <= N+1 the two
-can share, and a series is one integer numerator over d^n, reduced by the
-primes q <= n of d, each exactly v_q(n!) times.
-The Abelian entry is the Avalanche entry at N-1 times a ratio of small
-integers, P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).  Float mode
-evaluates PMFs in log space (log-gamma binomials, log1p) and keeps only
-their exponentials: one numpy kernel per family maps a block of support
-points to log terms, with Python's math.* functions mapped over the block.
+computes in integers, with p = a/d in lowest terms.  An Avalanche entry at
+N is a product of powers over d^N: the kernel strips the primes q <= N+1 of
+d from every base before the power is taken and adds each q's surplus back
+to the numerator or the denominator, never both, so the entry comes out in
+lowest terms with no gcd and no big-integer division but the binomial
+recurrence's exact one by b.  One generator yields the entries for a range
+of b, the whole support for a table and one point for scalar pmf.  A series
+is one integer numerator over d^n, reduced by the primes q <= n of d, each
+exactly v_q(n!) times.  The Abelian entry is the Avalanche entry at N-1
+times a ratio of small integers, P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).
+Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and
+keeps only their exponentials: one numpy kernel per family maps a block of
+support points to log terms, with Python's math.* functions mapped over the
+block.
 Tables come back as read-only float64 arrays, filled in blocks of _BLOCK
 points.  Before the kernel runs on a block, the same log term, taken with
 Stirling log-factorials and numpy's log and log1p, screens out the points
@@ -19,8 +24,9 @@ whose exp underflows; pmf_table writes +0.0 there, the kernel's own value,
 so a table makes math.* calls only at its nonzero entries and the few just
 past them, two math.lgamma calls per kept point (0.7 s at N = 10^6 and
 alpha = 0.999999, where none underflows), as scalar pmf.  In either mode
-scalar pmf runs the table's own per-entry kernel (in float mode on a
-one-point block, unscreened), so it returns the same value as the table.
+scalar pmf runs the table's own kernel on one point (in exact mode a
+one-point range, in float mode a one-point block, unscreened), so it
+returns the same value as the table.
 
 Moments come from one falling-power series, never from a table.  Float
 mode takes E(X), E(X^2) and the Abelian second-moment bracket from one
@@ -41,6 +47,7 @@ constraint is 0 < p < 1/N; alpha = N*p is the scale-free form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,57 +224,79 @@ def _small_prime_factors(d: int, bound: int) -> list[tuple[int, int]]:
     return out
 
 
-# With p = a/d in lowest terms, an Avalanche probability at N is one integer
-# numerator over d^N.  The numerator is a product of factors x^e (the
-# binomial is one of them), and it shares with d^N only primes q <= N+1:
-# gcd(a, d) = 1, gcd(d - k*a, d) = gcd(k, d), and the other factors
-# (binomials, (b+1)^(b-1)) have no prime above N+1.  So _reduced strips the
-# common factor q^min(v_q(num), v_q(den)) over those q, each v_q summed from
-# the factors, and takes no gcd at all.
+# With p = a/d in lowest terms, an Avalanche probability at N is
+# C(N,b) a^b x^(N-b) (b+1)^(b-1) over d^N, x = d - min(b+1, N)a.  The
+# numerator shares with d^N only the primes q <= N+1 of d: gcd(a, d) = 1,
+# gcd(x, d) = gcd(k, d) for x = d - ka with k <= N, and C(N,b) and b+1 have
+# no prime above N+1.  So the kernel strips those q from every base before
+# its power is taken, and the rest of d, d with them divided out, is coprime
+# to every cofactor: the reduced denominator is rest^N, built once per
+# table, times some of the q.  Each q's valuation in the numerator, summed
+# over the bases times their exponents, less its N v_q(d) in d^N, is its
+# surplus: a positive surplus multiplies the numerator by q^surplus, a
+# negative one the denominator.  The binomial comes by the recurrence
+# C(N,b) = C(N,b-1) (N-b+1)/b, its q-free part and valuations carried apart,
+# so the only big-integer division is the exact one by the small q-free part
+# of b, and no gcd is taken.
 
 
-def _reduced(factors, den: int, primes) -> Fraction:
-    """prod(x**e for x, e in factors) / den in lowest terms.
-
-    ``primes`` holds (q, v_q(den)) for every prime q the numerator can share
-    with den.  Every base x must be nonzero, or _valuation(x, q) never ends.
-    """
-    num = math.prod(x**e for x, e in factors)
-    g = 1
-    for q, v_den in primes:
-        v_num = sum(e * _valuation(x, q) for x, e in factors)
-        g *= q ** min(v_num, v_den)
-    return _coprime_fraction(num // g, den // g)
+def _strip(x: int, primes) -> tuple[int, list[int]]:
+    """x with every q of ``primes``, (q, v_q(d)) pairs, divided out, and v_q(x) for each q."""
+    vs = [_valuation(x, q) for q, _ in primes]
+    for (q, _), v in zip(primes, vs):
+        x //= q**v
+    return x, vs
 
 
-def _avalanche_term(N: int, p: Fraction):
-    """b -> P(X = b) = C(N,b) a^b (d-(b+1)a)^(N-b) (b+1)^(b-1) / d^N.
+def _avalanche_terms(N: int, p: Fraction, bs: range):
+    """P(X = b) = C(N,b) a^b (d-(b+1)a)^(N-b) (b+1)^(b-1) / d^N for b in bs.
 
     The base of (d-(b+1)a)^(N-b) is taken as d - min(b+1, N)a > 0: it differs
     only at b = N, where the exponent is 0.  (b+1)^(b-1) is 1 at b = 0.
-    N = 0 is allowed: its one entry is 1.
+    N = 0 is allowed: its one entry is 1.  bs is a range within 0..N.
     """
     a, d = p.numerator, p.denominator
-    den = d**N
-    primes = [(q, N * v) for q, v in _small_prime_factors(d, N + 1)]
+    primes = _small_prime_factors(d, N + 1)
+    rest = d // math.prod(q**e for q, e in primes)
+    rest_N = rest**N
 
-    def term(b: int) -> Fraction:
-        factors = [(math.comb(N, b), 1), (a, b), (d - min(b + 1, N) * a, N - b), (b + 1, max(b - 1, 0))]
-        return _reduced(factors, den, primes)
+    @functools.cache
+    def surplus_powers(surplus: tuple[int, ...]) -> tuple[int, int]:
+        # few distinct surpluses recur along a table: about 100 over 2000 entries
+        up = math.prod(q**s for (q, _), s in zip(primes, surplus) if s > 0)
+        down = math.prod(q**-s for (q, _), s in zip(primes, surplus) if s < 0)
+        return up, down
 
-    return term
+    binom, v_binom = 1, [0] * len(primes)  # C(N, b) without its q, and its v_q
+    for b in range(bs.stop):
+        if b:  # C(N, b) = C(N, b-1) (N-b+1) / b
+            factor, v_factor = _strip(N - b + 1, primes)
+            divisor, v_divisor = _strip(b, primes)
+            binom = binom * factor // divisor
+            v_binom = [v + i - j for v, i, j in zip(v_binom, v_factor, v_divisor)]
+        if b < bs.start:
+            continue
+        base, v_base = _strip(d - min(b + 1, N) * a, primes)
+        top, v_top = _strip(b + 1, primes)
+        e_top = max(b - 1, 0)
+        num = binom * a**b * base ** (N - b) * top**e_top
+        valuations = zip(primes, v_binom, v_base, v_top)
+        surplus = tuple(vc + (N - b) * vx + e_top * vt - N * e for (_, e), vc, vx, vt in valuations)
+        up, down = surplus_powers(surplus)
+        yield _coprime_fraction(num * up, rest_N * down)
 
 
-def _abelian_term(N: int, p: Fraction):
-    """b -> P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).
+def _abelian_terms(N: int, p: Fraction, bs: range):
+    """P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1) for b in bs.
 
     With p = a/d the weight C/(1 - bp) is (d-Na) d / ((d-(N-1)a)(d-ba)), a
     ratio of small integers (at b = N its (d-Na) cancels), so multiplying
     by it takes gcds of a big integer against a small one only.
     """
     a, d = p.numerator, p.denominator
-    avalanche = _avalanche_term(N - 1, p)
-    return lambda b: avalanche(b - 1) * Fraction((d - N * a) * d, (d - (N - 1) * a) * (d - b * a))
+    avalanche = _avalanche_terms(N - 1, p, range(bs.start - 1, bs.stop - 1))
+    for b, term in zip(bs, avalanche):
+        yield term * Fraction((d - N * a) * d, (d - (N - 1) * a) * (d - b * a))
 
 
 def _map(f, x: np.ndarray) -> np.ndarray:
@@ -340,13 +369,13 @@ def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial, log, log1
     return lp + (N - b) * log1p(-np.minimum(b + 1, N) * p)
 
 
-# family -> (exact term, log block, shift): P(family = b) is term(N, p) at
-# b - shift, for b in support(family, N) only; the log block maps an array
-# of such b - shift to log probabilities.
+# family -> (exact terms, log block, shift): P(family = b) for b in a range
+# within support(family, N) is terms(N, p, that range shifted by -shift);
+# the log block maps an array of such b - shift to log probabilities.
 _TERMS = {
-    "abelian": (_abelian_term, _abelian_log_block, 0),
-    "avalanche": (_avalanche_term, _avalanche_log_block, 0),
-    "shifted": (_avalanche_term, _avalanche_log_block, 1),
+    "abelian": (_abelian_terms, _abelian_log_block, 0),
+    "avalanche": (_avalanche_terms, _avalanche_log_block, 0),
+    "shifted": (_avalanche_terms, _avalanche_log_block, 1),
 }
 
 # Support points per float kernel call: bounds the kernel's temporaries.  At
@@ -383,8 +412,8 @@ def pmf(family: str, params: Params, b: int) -> Number:
     if b not in sup:
         raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
     if params.is_exact:
-        exact_term, _, shift = _TERMS[family]
-        return exact_term(params.N, params.p)(b - shift)
+        exact_terms, _, shift = _TERMS[family]
+        return next(exact_terms(params.N, params.p, range(b - shift, b - shift + 1)))
     return _float_block(family, params, np.array([b]))[0].item()
 
 
@@ -392,9 +421,8 @@ def pmf_table(family: str, params: Params) -> PmfTable:
     """Whole-support table: exact Fractions, or a read-only float64 array."""
     sup = support(family, params.N)
     if params.is_exact:
-        exact_term, _, shift = _TERMS[family]
-        term = exact_term(params.N, params.p)
-        probs = tuple(term(b - shift) for b in sup)
+        exact_terms, _, shift = _TERMS[family]
+        probs = tuple(exact_terms(params.N, params.p, range(sup.start - shift, sup.stop - shift)))
         return PmfTable(family, params, sup, probs, None)
     _, log_block, shift = _TERMS[family]
     probs = np.zeros(len(sup))

@@ -259,6 +259,43 @@ def test_exact_table_matches_reference_terms(family, params):
         assert [q.denominator for q in got] == [q.denominator for q in expected]
 
 
+@st.composite
+def strip_edge_params(draw):
+    """N and p = a/d at the edges of the kernel's prime strip.
+
+    d holds 2 up to 60 times and 3 up to 20 times; N + 1 is prime and d may
+    be a multiple of it, the largest prime the kernel strips; the cofactor
+    1000003, above N + 1, may sit beside them; N = 1 and 2 are drawn often.
+    """
+    N = draw(st.sampled_from([1, 2, 1, 2, 4, 6, 10, 12, 16, 22, 30]))
+    d = 2 ** draw(st.integers(0, 60)) * 3 ** draw(st.integers(0, 20))
+    d *= (N + 1) ** draw(st.integers(0, 3)) * draw(st.sampled_from([1, 1000003]))
+    if d <= N:
+        d *= N + 1
+    top = (d - 1) // N
+    a = draw(st.sampled_from([1, top]) | st.integers(1, top))
+    return Params.exact(N, p=Fraction(a, d))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), params=strip_edge_params())
+def test_exact_table_at_strip_edges_matches_reference_terms(family, params):
+    expected = reference_table(family, params)
+    got = pmf_table(family, params).probs_exact
+    assert [q.numerator for q in got] == [q.numerator for q in expected]
+    assert [q.denominator for q in got] == [q.denominator for q in expected]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scalar_pmf_is_the_table_entry_at_n1000(family):
+    params = Params.exact(1000, alpha=Fraction(1, 2))
+    table = pmf_table(family, params)
+    sup = table.support
+    for i in (0, len(sup) // 2, len(sup) - 1):
+        got = pmf(family, params, sup[i])
+        assert (got.numerator, got.denominator) == (table.probs_exact[i].numerator, table.probs_exact[i].denominator)
+
+
 @settings(max_examples=150, deadline=None)
 @given(params=exact_params(), heavy=st.booleans())
 def test_rounded_avalanche_mean_is_the_float_of_the_exact_mean(params, heavy):
