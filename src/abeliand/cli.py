@@ -32,11 +32,12 @@ _MAX_FAILURES_SHOWN = 20
 _JSON_BATCH = 64
 
 # Largest N that `pmf` serves in each mode, from measurements on a 2-core
-# VM (Python 3.11): the exact Abelian table at alpha = 1/2 takes 0.16 s at
-# N = 1000, 1.2 s at N = 2000 and 9.6 s at N = 4000 (31, 39 and 76 MB).
-# Exact `pmf` end to end takes 1.0 s at N = 1000 and 5.3 s at N = 2000, of
-# which 3.0 s is the decimal conversion of its ~7000-digit integers, which
-# grows with the square of their length.  Float `pmf` at N = 10^6 and
+# VM (Python 3.11): the exact Abelian table at alpha = 1/2 takes 0.06-0.09 s
+# at N = 1000, 0.3-0.6 s at N = 2000 and 2.5-2.9 s at N = 4000 (31, 40 and
+# 79 MB).  Exact `pmf` end to end takes 0.9 s at N = 1000 and 4.6 s at
+# N = 2000, of which 2.5 s is the decimal conversion of its ~7000-digit
+# integers, which grows with the square of their length: the conversion,
+# not the table, is most of the run.  Float `pmf` at N = 10^6 and
 # alpha = 0.5 takes 1.3-1.8 s end to end in CSV or JSON and peaks at 32 MB:
 # interpreter start 0.3 s and the table 0.04 s (its 3783 nonzero entries),
 # the rest output formatting.  Where no entry underflows (alpha = 0.999999)
@@ -53,9 +54,11 @@ PMF_MAX_N = {"exact": 2000, "float": 10**6}
 # Largest N*D, D the decimal digits of d in p = a/d, that exact `pmf` and
 # exact `moments` serve; both refuse more with exit 2 before any work.  An
 # exact value holds about N*D digits, so N alone does not bound its cost.
-# End to end on the same VM: exact `pmf` takes 33 s and prints 70 MB at the
-# pmf cap's worst point, N = 2000 and alpha = 999999/1000000 (D = 10), and
-# 2.6 s at N = 200, D = 100; N = 100 with D = 1001, refused, takes 27 s.
+# End to end on the same VM: exact `pmf` takes 25-27 s and prints 70 MB at
+# the pmf cap's worst point, N = 2000 and alpha = 999999/1000000 (D = 10),
+# 2.4-3.6 s of it the table and 21.5 s the decimal conversion, and 2.5 s at
+# N = 200, D = 100; N = 100 with D = 1001, refused, would take 24 s, 1.5 s of
+# it the table.
 # Every family's moments sum an N-term series of such integers, quadratic in
 # N.  At N = 2*10^4, alpha = 1/2 (D = 5) they take 1.4 s end to end for the
 # Abelian family and 3.9 s for the Avalanche family (2.2 s in process, most

@@ -402,7 +402,7 @@ def _float_block(family: str, params: Params, b: np.ndarray):
 
 
 def pmf(family: str, params: Params, b: int) -> Number:
-    """P(family = b): the exact term, or the float table kernel at one point.
+    """P(family = b): the exact generator or the float table kernel, run at one point.
 
     abelian:   P(Z = b) = C * binom(N-1,b-1) * p^(b-1) * (1-bp)^(N-b-1) * b^(b-2)
     avalanche: P(X = b) = binom(N,b) * p^b * (1-(b+1)p)^(N-b) * (b+1)^(b-1)
