@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -79,6 +80,12 @@ SAMPLE_MAX_UNIFORMS = 10**9
 
 def _parse_ratio(text: str) -> Fraction:
     """Parse "num/den" or a decimal literal into an exact Fraction."""
+    # Fraction() builds 10^|e| for a decimal exponent e, 11.6 s at |e| = 10^7.
+    # Past |e| = 10^6 an argument of at most 128 KiB (Linux) is at least 1, or
+    # its float is 0.0 and its d has over 10^5 digits: refused downstream anyway.
+    exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
+    if exponent and int(exponent[1].replace("_", "").lstrip("0")[:8] or 0) > 10**6:
+        raise ValueError(f"decimal exponents of size <= 1000000 are served, got {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -111,21 +118,11 @@ def _resolve_seed(arg_seed) -> int:
     return seed
 
 
-def _write_csv(columns, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-
-
-def _write_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload) + "\n")
-
-
 def _write_json_rows(columns, rows) -> None:
     """Write the rows as one JSON array of objects, _JSON_BATCH rows at a time.
 
-    The bytes are those of _write_json([dict(zip(columns, row)) for row in
-    rows]), "[]" for no rows included, but no list of all the rows is built.
+    The bytes are json.dumps([dict(zip(columns, row)) for row in rows]) and a
+    newline, "[]" for no rows included, but no list of all the rows is built.
     """
     rows = iter(rows)
     sep = "["
@@ -139,7 +136,9 @@ def _emit_table(args, columns, rows) -> None:
     if args.output == "json":
         _write_json_rows(columns, rows)
     else:
-        _write_csv(columns, rows)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 @contextlib.contextmanager
@@ -267,7 +266,7 @@ def run_sample(args) -> int:
         "empirical_pmf": {str(b): stats.empirical_pmf[b] for b in sorted(stats.empirical_pmf)},
         "exact_mean": dist.rounded_avalanche_mean(exact),
     }
-    _write_json(payload)
+    sys.stdout.write(json.dumps(payload) + "\n")
     return 0
 
 

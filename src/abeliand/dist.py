@@ -41,8 +41,9 @@ The exact rewrite evaluates the Stirling-row polynomials P_i(N) by integer
 Horner, and J2, J4, J5 and J6 each as one Horner evaluation in p.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
-shifted Avalanche family (Avalanche + 1) on {1..N+1}.  The shared parameter
-constraint is 0 < p < 1/N; alpha = N*p is the scale-free form.
+shifted family Y = X + 1, the Avalanche family at shift 1, on {1..N+1}; each
+is one four-field record in _TERMS.  The shared parameter constraint is
+0 < p < 1/N; alpha = N*p is the scale-free form.
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ from typing import Union
 import numpy as np
 
 from .stirling import horner, split_index, stirling_rows
-
-FAMILIES = ("abelian", "avalanche", "shifted")
 
 Number = Union[Fraction, float]
 
@@ -173,14 +172,16 @@ class ConvergenceRow:
     error: str | None = None
 
 
+def _family(family: str) -> tuple:
+    """The family's _TERMS record; the one refusal of an unknown family."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return _TERMS[family]
+
+
 def support(family: str, N: int) -> range:
-    if family == "abelian":
-        return range(1, N + 1)
-    if family == "avalanche":
-        return range(0, N + 1)
-    if family == "shifted":
-        return range(1, N + 2)
-    raise ValueError(f"unknown family {family!r}")
+    _, _, shift, first = _family(family)
+    return range(first, N + shift + 1)
 
 
 def normalization_C(params: Params) -> Number:
@@ -369,14 +370,18 @@ def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial, log, log1
     return lp + (N - b) * log1p(-np.minimum(b + 1, N) * p)
 
 
-# family -> (exact terms, log block, shift): P(family = b) for b in a range
-# within support(family, N) is terms(N, p, that range shifted by -shift);
-# the log block maps an array of such b - shift to log probabilities.
+# family -> (exact terms, log block, shift s, first support point b0): the
+# family lives on b0..N + s, and P(family = b) there is the terms' entry, and
+# the exp of the log block's term, at b - s; so the family's moments are
+# those at shift 0 moved by s.  The shifted family is the Avalanche one at s = 1.
 _TERMS = {
-    "abelian": (_abelian_terms, _abelian_log_block, 0),
-    "avalanche": (_avalanche_terms, _avalanche_log_block, 0),
-    "shifted": (_avalanche_terms, _avalanche_log_block, 1),
+    "abelian": (_abelian_terms, _abelian_log_block, 0, 1),
+    "avalanche": (_avalanche_terms, _avalanche_log_block, 0, 0),
+    "shifted": (_avalanche_terms, _avalanche_log_block, 1, 1),
 }
+
+FAMILIES = tuple(_TERMS)
+
 
 # Support points per float kernel call: bounds the kernel's temporaries.  At
 # 2^14 points each temporary is 128 KB and stays in cache; on 2^16-point
@@ -397,7 +402,7 @@ _SCREEN_CUT = -800.0
 
 def _float_block(family: str, params: Params, b: np.ndarray):
     """P(family = b) at an int64 array b, as a float64 array."""
-    _, log_block, shift = _TERMS[family]
+    _, log_block, shift, _ = _TERMS[family]
     return _map(math.exp, log_block(params, b - shift, _log_factorial, _math_log, _math_log1p))
 
 
@@ -412,7 +417,7 @@ def pmf(family: str, params: Params, b: int) -> Number:
     if b not in sup:
         raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
     if params.is_exact:
-        exact_terms, _, shift = _TERMS[family]
+        exact_terms, _, shift, _ = _TERMS[family]
         return next(exact_terms(params.N, params.p, range(b - shift, b - shift + 1)))
     return _float_block(family, params, np.array([b]))[0].item()
 
@@ -420,11 +425,10 @@ def pmf(family: str, params: Params, b: int) -> Number:
 def pmf_table(family: str, params: Params) -> PmfTable:
     """Whole-support table: exact Fractions, or a read-only float64 array."""
     sup = support(family, params.N)
+    exact_terms, log_block, shift, _ = _TERMS[family]
     if params.is_exact:
-        exact_terms, _, shift = _TERMS[family]
         probs = tuple(exact_terms(params.N, params.p, range(sup.start - shift, sup.stop - shift)))
         return PmfTable(family, params, sup, probs, None)
-    _, log_block, shift = _TERMS[family]
     probs = np.zeros(len(sup))
     for start in range(0, len(sup), _BLOCK):
         b = np.arange(sup.start + start, min(sup.start + start + _BLOCK, sup.stop))
@@ -581,16 +585,12 @@ def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
 
 
 def moments(family: str, params: Params) -> Moments:
-    """Moments for any family from the falling-power series; the shifted Y = X + 1 keeps Var X."""
+    """Moments for any family from the falling-power series; Y = X + s keeps Var X."""
+    _, _, s, _ = _family(family)
     if family == "abelian":
         return abelian_variance(params)
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
     mean, second = avalanche_mean(params), _avalanche_second_moment(params)
-    variance = second - mean * mean
-    if family == "shifted":
-        mean, second = mean + 1, second + 2 * mean + 1
-    return Moments(mean, second, variance, params.mode)
+    return Moments(mean + s, second + 2 * s * mean + s * s, second - mean * mean, params.mode)
 
 
 def j_decomposition(params: Params) -> JDecomposition:

@@ -445,6 +445,30 @@ def test_exact_size_refusal_converts_no_decimal(capsys, monkeypatch, command, bu
     assert err == exact_size_message(command[0], budget, 1000001)
 
 
+@pytest.mark.parametrize("literal", ["1e-10000000", "1e+10000000", "1E-0_001_000_001"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("moments", "--N", "1", "--p"),
+        ("limit", "--alpha"),
+        ("sample", "--N", "1", "--p"),
+        ("pmf", "--family", "abelian", "--mode", "float", "--N", "1", "--p"),
+    ],
+    ids=["moments", "limit", "sample", "pmf-float"],
+)
+def test_decimal_exponent_refused_before_the_fraction(capsys, monkeypatch, command, literal):
+    # Fraction("1e-10000000") builds 10^10000000: 11.6 s of the 13.6 s that
+    # limit took.  Past an exponent of size 10^6 the literal is refused first.
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    code, out, err = run(capsys, *command, literal)
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: decimal exponents of size <= 1000000 are served, got {literal!r}\n"
+
+
 def test_limit_table(capsys):
     code, out, _ = run(capsys, "limit", "--alpha", "0.5", "--N", "100", "1000")
     assert code == 0

@@ -383,8 +383,15 @@ def test_moments_dispatch_families():
         m = moments(family, params)
         assert m.mean == brute_force_moment(family, params, 1)
         assert m.variance == m.second_moment - m.mean**2
-    with pytest.raises(ValueError):
+    refusal = "unknown family 'nope'"
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
         moments("nope", params)
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        support("nope", 6)
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        pmf("nope", params, 1)
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        pmf_table("nope", params)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -805,8 +812,11 @@ def test_float_abelian_moments_accuracy_to_the_budget(N, alpha):
 # holds.  Measured on today's paths: -1.1e-16 and -2.2e-16 at alpha = 1e-300,
 # N = 2 and 10 (exact 5e-301 and 9e-301); relative errors 5.7e-2 and 4.1e-5
 # at N = 1000, alpha = 1e-12 and 1e-9; 1.4e-4 and 2.8e-5 at N = 1001 and
-# 2000, alpha = 0.999999.  The bounds are that fix's prototype errors with a
-# margin.  The marks are strict, so the fix must remove them.
+# 2000, alpha = 0.999999; and near alpha = 1 a variance at or below 0:
+# -0.151 at N = 1001, alpha = 1 - 2^-40 (exact 8.76e-4), -4.07e-9 at
+# N = 1000 and 0.0 at N = 2, alpha = nextafter(1, 0) (exact 1.88e-7 and
+# 2.2e-16).  The bounds are that fix's prototype errors with a margin.  The
+# marks are strict, so the fix must remove them.
 FLOAT_VARIANCE_XFAIL = pytest.mark.xfail(strict=True, reason="the float variance cancels (ROADMAP item 2)")
 
 
@@ -814,6 +824,12 @@ FLOAT_VARIANCE_XFAIL = pytest.mark.xfail(strict=True, reason="the float variance
 @pytest.mark.parametrize("N", [2, 10])
 def test_float_variance_nonnegative_at_tiny_alpha(N):
     assert abelian_variance(Params.stable(N, alpha=1e-300)).variance >= 0
+
+
+@FLOAT_VARIANCE_XFAIL
+@pytest.mark.parametrize("N, alpha", [(1001, 1 - 2**-40), (1000, math.nextafter(1, 0)), (2, math.nextafter(1, 0))])
+def test_float_variance_positive_near_alpha_one(N, alpha):
+    assert abelian_variance(Params.stable(N, alpha=alpha)).variance > 0
 
 
 @FLOAT_VARIANCE_XFAIL
