@@ -457,8 +457,8 @@ def test_exact_size_refusal_converts_no_decimal(capsys, monkeypatch, command, bu
     ids=["moments", "limit", "sample", "pmf-float"],
 )
 def test_decimal_exponent_refused_before_the_fraction(capsys, monkeypatch, command, literal):
-    # Fraction("1e-10000000") builds 10^10000000: 11.6 s of the 13.6 s that
-    # limit took.  Past an exponent of size 10^6 the literal is refused first.
+    # Fraction("1e-10000000") builds 10^10000000, about 9 s on a 2-vCPU VM.
+    # Past an exponent of size 10^6 the literal is refused first.
     def no_fraction(*args):
         raise AssertionError("Fraction built")
 
