@@ -77,6 +77,21 @@ MOMENTS_MAX_ND = 100_000
 SAMPLE_MAX_N = 10**6
 SAMPLE_MAX_UNIFORMS = 10**9
 
+# Largest K*D that `sample` serves for its exact_mean, the float of the exact
+# Avalanche mean that dist.rounded_avalanche_mean takes from a prefix of the
+# series: its K terms, up to its stop, over d^k grow to about K*D digits, D the
+# decimal digits of d in p = a/d, and each step works on integers that long.
+# K is estimated from the float terms (N)_k p^k; over 60 points with N from 1
+# to 10^6 it was short of the true count by at most 3 terms where K < 100 and
+# by at most 3.4% above.  In process on the same VM, N = 10^6 takes 2.0 s at
+# alpha = 0.999999 (K = 9256, D = 13, K*D = 1.2e5) and 3.3 s at alpha =
+# 0.99999999 (K*D = 1.47e5), the slowest point measured that is admitted.
+# Refused: N = 300 with D = 1003 (K*D = 1.7e5) would take 1.2 s, N = 10^6 at
+# alpha = 0.99999999991234567891234 (K*D = 3.0e5) 9.8 s and N = 10^4 with
+# D = 1005 (K*D = 1.0e6) 51 s.  An N*D budget would refuse N = 10^6 at
+# alpha = 0.5, where K = 55.
+SAMPLE_MEAN_MAX_KD = 150_000
+
 
 def _parse_ratio(text: str) -> Fraction:
     """Parse "num/den" or a decimal literal into an exact Fraction."""
@@ -93,12 +108,15 @@ def _parse_ratio(text: str) -> Fraction:
     return value
 
 
-def _build_params(args, mode: str) -> Params:
-    """Params in ``mode``; the exact input is checked first in either mode."""
+def _build_params(args, mode: str) -> tuple[Params, Params]:
+    """The exact Params, checked first, and the Params in ``mode``.
+
+    In float mode the second is the float twin of the typed --alpha or --p.
+    """
     alpha = _parse_ratio(args.alpha) if args.alpha is not None else None
     p = _parse_ratio(args.p) if args.p is not None else None
     exact = Params.exact(args.N, p=p, alpha=alpha)
-    return exact if mode == "exact" else Params.stable(args.N, p=p, alpha=alpha)
+    return exact, exact if mode == "exact" else Params.stable(args.N, p=p, alpha=alpha)
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -180,11 +198,31 @@ def _check_exact_size(command: str, params: Params, budget: int) -> None:
         raise ValueError(f"{command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}")
 
 
+def _check_mean_prefix(params: Params, D: int) -> None:
+    """Refuse when rounded_avalanche_mean's prefix would pass K*D > SAMPLE_MEAN_MAX_KD.
+
+    K is the first k at which the float terms t_k = (N)_k p^k meet its stop:
+    the tail bound t_k alpha/(1-alpha) at most 2^-53 times the partial sum.
+    """
+    N, p, alpha = params.N, params.p, params.alpha
+    total, t = 0.0, 1.0
+    for k in range(1, N + 1):
+        t *= (N - k + 1) * p
+        total += t
+        if t * alpha / (1 - alpha) <= total * 2.0**-53:
+            break
+    if k * D > SAMPLE_MEAN_MAX_KD:
+        raise ValueError(
+            f"sample serves K*D <= {SAMPLE_MEAN_MAX_KD}, K the exact mean's series terms "
+            f"and D the digits of d in p = a/d, got K*D={k * D}"
+        )
+
+
 def run_pmf(args) -> int:
     budget = PMF_MAX_N[args.mode]
     if args.N > budget:
         raise ValueError(f"pmf --mode {args.mode} serves N <= {budget}, got N={args.N}")
-    params = _build_params(args, args.mode)
+    _, params = _build_params(args, args.mode)
     _check_exact_size("pmf", params, PMF_MAX_ND)
     table = dist.pmf_table(args.family, params)
     # Rows are generated as they are written, in CSV and JSON alike.
@@ -206,7 +244,7 @@ def run_moments(args) -> int:
     budget = PMF_MAX_N["float"]
     if args.mode == "float" and args.N > budget:
         raise ValueError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
-    params = _build_params(args, args.mode)
+    _, params = _build_params(args, args.mode)
     _check_exact_size("moments", params, MOMENTS_MAX_ND)
     m = dist.moments(args.family, params)
     fmt = str if params.is_exact else float
@@ -243,8 +281,7 @@ def run_limit(args) -> int:
 
 
 def run_sample(args) -> int:
-    exact = _build_params(args, "exact")
-    params = _build_params(args, "float")
+    exact, params = _build_params(args, "float")
     seed = _resolve_seed(args.seed)
     if args.M < 1:
         raise ValueError("M must be >= 1")
@@ -252,6 +289,7 @@ def run_sample(args) -> int:
         raise ValueError(f"sample serves N <= {SAMPLE_MAX_N}, got N={args.N}")
     if args.N * args.M > SAMPLE_MAX_UNIFORMS:
         raise ValueError(f"sample serves N*M <= {SAMPLE_MAX_UNIFORMS}, got N*M={args.N * args.M}")
+    _check_mean_prefix(params, _decimal_digits(exact.p.denominator))
     stats = sampler.monte_carlo(params, args.M, seed)
     payload = {
         "family": "avalanche",

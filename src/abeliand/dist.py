@@ -42,8 +42,9 @@ Horner, and J2, J4, J5 and J6 each as one Horner evaluation in p.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
 shifted family Y = X + 1, the Avalanche family at shift 1, on {1..N+1}; each
-is one four-field record in _TERMS.  The shared parameter constraint is
-0 < p < 1/N; alpha = N*p is the scale-free form.
+is one six-field record in _TERMS, whose mean and second moment moments()
+reads.  Float moments() refuses a variance that is not finite.  The shared
+parameter constraint is 0 < p < 1/N; alpha = N*p is the scale-free form.
 """
 
 from __future__ import annotations
@@ -180,7 +181,7 @@ def _family(family: str) -> tuple:
 
 
 def support(family: str, N: int) -> range:
-    _, _, shift, first = _family(family)
+    _, _, shift, first, _, _ = _family(family)
     return range(first, N + shift + 1)
 
 
@@ -370,19 +371,6 @@ def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial, log, log1
     return lp + (N - b) * log1p(-np.minimum(b + 1, N) * p)
 
 
-# family -> (exact terms, log block, shift s, first support point b0): the
-# family lives on b0..N + s, and P(family = b) there is the terms' entry, and
-# the exp of the log block's term, at b - s; so the family's moments are
-# those at shift 0 moved by s.  The shifted family is the Avalanche one at s = 1.
-_TERMS = {
-    "abelian": (_abelian_terms, _abelian_log_block, 0, 1),
-    "avalanche": (_avalanche_terms, _avalanche_log_block, 0, 0),
-    "shifted": (_avalanche_terms, _avalanche_log_block, 1, 1),
-}
-
-FAMILIES = tuple(_TERMS)
-
-
 # Support points per float kernel call: bounds the kernel's temporaries.  At
 # 2^14 points each temporary is 128 KB and stays in cache; on 2^16-point
 # blocks the screen's numpy passes ran 2.5 times slower.
@@ -402,7 +390,7 @@ _SCREEN_CUT = -800.0
 
 def _float_block(family: str, params: Params, b: np.ndarray):
     """P(family = b) at an int64 array b, as a float64 array."""
-    _, log_block, shift, _ = _TERMS[family]
+    _, log_block, shift, _, _, _ = _TERMS[family]
     return _map(math.exp, log_block(params, b - shift, _log_factorial, _math_log, _math_log1p))
 
 
@@ -417,7 +405,7 @@ def pmf(family: str, params: Params, b: int) -> Number:
     if b not in sup:
         raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
     if params.is_exact:
-        exact_terms, _, shift, _ = _TERMS[family]
+        exact_terms, _, shift, _, _, _ = _TERMS[family]
         return next(exact_terms(params.N, params.p, range(b - shift, b - shift + 1)))
     return _float_block(family, params, np.array([b]))[0].item()
 
@@ -425,7 +413,7 @@ def pmf(family: str, params: Params, b: int) -> Number:
 def pmf_table(family: str, params: Params) -> PmfTable:
     """Whole-support table: exact Fractions, or a read-only float64 array."""
     sup = support(family, params.N)
-    exact_terms, log_block, shift, _ = _TERMS[family]
+    exact_terms, log_block, shift, _, _, _ = _TERMS[family]
     if params.is_exact:
         probs = tuple(exact_terms(params.N, params.p, range(sup.start - shift, sup.stop - shift)))
         return PmfTable(family, params, sup, probs, None)
@@ -550,10 +538,8 @@ def _float_J4_terms(N: int, alpha: float):
 
 
 def abelian_variance(params: Params) -> Moments:
-    """Mean, second moment and variance of the Abelian family."""
-    mean = abelian_mean(params)
-    second = abelian_second_moment(params)
-    return Moments(mean, second, second - mean * mean, params.mode)
+    """moments("abelian", params): the paper's headline quantity, under the name callers import."""
+    return moments("abelian", params)
 
 
 def _avalanche_second_moment(params: Params) -> Number:
@@ -572,6 +558,19 @@ def _avalanche_second_moment(params: Params) -> Number:
     return Fraction(num, d**N)
 
 
+# family -> (exact terms, log block, shift s, first support point b0, mean,
+# second moment): the family lives on b0..N + s, where P(family = b) is the
+# terms' entry, and the exp of the log block's term, at b - s; the moments are
+# those at shift 0, which moments() moves by s.  Shifted is Avalanche at s = 1.
+_TERMS = {
+    "abelian": (_abelian_terms, _abelian_log_block, 0, 1, abelian_mean, abelian_second_moment),
+    "avalanche": (_avalanche_terms, _avalanche_log_block, 0, 0, avalanche_mean, _avalanche_second_moment),
+    "shifted": (_avalanche_terms, _avalanche_log_block, 1, 1, avalanche_mean, _avalanche_second_moment),
+}
+
+FAMILIES = tuple(_TERMS)
+
+
 def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
     """k-th raw moment summed over the exact table, N <= 30: the oracle for every series."""
     if k < 0:
@@ -585,12 +584,13 @@ def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
 
 
 def moments(family: str, params: Params) -> Moments:
-    """Moments for any family from the falling-power series; Y = X + s keeps Var X."""
-    _, _, s, _ = _family(family)
-    if family == "abelian":
-        return abelian_variance(params)
-    mean, second = avalanche_mean(params), _avalanche_second_moment(params)
-    return Moments(mean + s, second + 2 * s * mean + s * s, second - mean * mean, params.mode)
+    """The family's moments from its record at shift 0, moved by s; a non-finite float variance is refused."""
+    _, _, s, _, mean_of, second_of = _family(family)
+    mean, second = mean_of(params), second_of(params)
+    variance = second - mean * mean
+    if not (params.is_exact or math.isfinite(variance)):
+        raise ValueError("non-finite variance")
+    return Moments(mean + s, second + 2 * s * mean + s * s, variance, params.mode)
 
 
 def j_decomposition(params: Params) -> JDecomposition:
@@ -658,9 +658,6 @@ def convergence_table(alpha: float, N_list) -> list[ConvergenceRow]:
             v = abelian_variance(Params.stable(N, alpha=alpha)).variance
         except (OverflowError, ValueError) as exc:
             rows.append(ConvergenceRow(N, None, limit, None, str(exc)))
-            continue
-        if not math.isfinite(v):
-            rows.append(ConvergenceRow(N, None, limit, None, "non-finite variance"))
             continue
         rows.append(ConvergenceRow(N, v, limit, abs(v - limit)))
     return rows

@@ -247,6 +247,39 @@ def test_sample_refuses_work_over_budget(capsys, monkeypatch, N, M, message):
     assert err == f"abeliand: error: sample serves {message}\n"
 
 
+LONG_ALPHA = "0.9999999999" + "1" * 990  # D = 1005 digits in d at N = 10^4
+
+
+def test_sample_refuses_a_long_exact_mean(capsys, monkeypatch):
+    # rounded_avalanche_mean's prefix at this point is 1032 terms whose
+    # integers reach 10^6 digits: the run did not finish in 30 s unrefused
+    def no_work(*args):
+        raise AssertionError("sampling or exact work started on refused input")
+
+    monkeypatch.setattr(cli.sampler, "monte_carlo", no_work)
+    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", no_work)
+    code, out, err = run(capsys, "sample", "--N", "10000", "--alpha", LONG_ALPHA, "--M", "1")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"abeliand: error: sample serves K*D <= {cli.SAMPLE_MEAN_MAX_KD}, K the exact mean's "
+        "series terms and D the digits of d in p = a/d, got K*D=1037160\n"
+    )
+
+
+@pytest.mark.parametrize("alpha", ["0.999999", "0.99999999"])
+def test_sample_mean_budget_admits_n_1e6_near_alpha_one(capsys, monkeypatch, alpha):
+    # K*D = 120328 and 146775: 2.0 s and 3.3 s of exact mean unpatched
+    def fake_sampling(params, M, seed):
+        return sampler.SampleStats(M, seed, 0.0, 0.0, {0: M}, 0.0)
+
+    monkeypatch.setattr(cli.sampler, "monte_carlo", fake_sampling)
+    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", lambda params: 0.0)
+    code, out, _ = run(capsys, "sample", "--N", "1000000", "--alpha", alpha, "--M", "1")
+    assert code == 0
+    assert json.loads(out)["M"] == 1
+
+
 @pytest.mark.parametrize("N, M", [(1000, 10**6), (10**6, 1000), (1, 10**9)])
 def test_sample_budget_admits_its_edge(capsys, monkeypatch, N, M):
     def fake_sampling(params, M, seed):
@@ -512,6 +545,47 @@ def test_limit_refuses_n_over_budget(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err == f"abeliand: error: limit serves N <= {N - 1}, got N={N}\n"
+
+
+# A row that cannot be evaluated prints its cause, and the table exits 0:
+# float p underflows to 0, N*p rounds up to 1, or 1/p overflows in E[Z^2].
+LIMIT_ERROR_ROWS = {
+    ("--alpha", "5e-324", "--N", "2", "10"): (
+        "N,variance,limit,abs_error\n"
+        "2,error: p must be positive,5e-324,\n"
+        "10,error: p must be positive,5e-324,\n",
+        '[{"N": 2, "variance": "error: p must be positive", "limit": 5e-324, "abs_error": ""}, '
+        '{"N": 10, "variance": "error: p must be positive", "limit": 5e-324, "abs_error": ""}]\n',
+    ),
+    ("--alpha", "0.9999999999999999", "--N", "3"): (
+        "N,variance,limit,abs_error\n"
+        '3,"error: p must be < 1/N, got p=0.3333333333333333 with N=3",7.307508186654514e+47,\n',
+        '[{"N": 3, "variance": "error: p must be < 1/N, got p=0.3333333333333333 with N=3", '
+        '"limit": 7.307508186654514e+47, "abs_error": ""}]\n',
+    ),
+    ("--alpha", "1e-310", "--N", "2", "10"): (
+        "N,variance,limit,abs_error\n"
+        "2,error: non-finite variance,1e-310,\n"
+        "10,error: non-finite variance,1e-310,\n",
+        '[{"N": 2, "variance": "error: non-finite variance", "limit": 1e-310, "abs_error": ""}, '
+        '{"N": 10, "variance": "error: non-finite variance", "limit": 1e-310, "abs_error": ""}]\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("argv", list(LIMIT_ERROR_ROWS), ids=["p-underflows", "p-at-1-over-N", "non-finite"])
+def test_limit_error_rows(capsys, argv, output):
+    code, out, err = run(capsys, "limit", *argv, "--output", output)
+    assert (code, err) == (0, "")
+    assert out == LIMIT_ERROR_ROWS[argv][output == "json"]
+
+
+def test_float_moments_refuse_a_non_finite_variance(capsys):
+    code, out, err = run(capsys, "moments", "--mode", "float", "--N", "2", "--alpha", "1e-310")
+    assert code == 2
+    assert out == ""
+    assert err == "abeliand: error: non-finite variance\n"
 
 
 def test_limit_budget_admits_its_edge(capsys):

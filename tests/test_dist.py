@@ -377,6 +377,14 @@ class TestConvergence:
             convergence_table(0.5, [1])
 
 
+def test_float_moments_refuse_a_non_finite_variance():
+    # below p of about 1e-308, 1/p overflows in the Abelian bracket
+    with pytest.raises(ValueError, match="^non-finite variance$"):
+        moments("abelian", Params.stable(2, alpha=1e-310))
+    (row,) = convergence_table(1e-310, [2])
+    assert row.error == "non-finite variance"
+
+
 def test_moments_dispatch_families():
     params = Params.exact(6, alpha=Fraction(1, 2))
     for family in FAMILIES:
