@@ -538,7 +538,7 @@ def _float_J4_terms(N: int, alpha: float):
 
 
 def abelian_variance(params: Params) -> Moments:
-    """moments("abelian", params): the paper's headline quantity, under the name callers import."""
+    """moments("abelian", params), the headline quantity, under the name verify and perfbench call."""
     return moments("abelian", params)
 
 

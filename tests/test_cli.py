@@ -549,7 +549,7 @@ def test_limit_refuses_n_over_budget(capsys, monkeypatch):
 
 # A row that cannot be evaluated prints its cause, and the table exits 0:
 # float p underflows to 0, N*p rounds up to 1, or 1/p overflows in E[Z^2].
-LIMIT_ERROR_ROWS = {
+LIMIT_ERROR_ROWS = {  # argv -> (CSV stdout, JSON stdout)
     ("--alpha", "5e-324", "--N", "2", "10"): (
         "N,variance,limit,abs_error\n"
         "2,error: p must be positive,5e-324,\n"
@@ -578,7 +578,8 @@ LIMIT_ERROR_ROWS = {
 def test_limit_error_rows(capsys, argv, output):
     code, out, err = run(capsys, "limit", *argv, "--output", output)
     assert (code, err) == (0, "")
-    assert out == LIMIT_ERROR_ROWS[argv][output == "json"]
+    csv_out, json_out = LIMIT_ERROR_ROWS[argv]
+    assert out == (json_out if output == "json" else csv_out)
 
 
 def test_float_moments_refuse_a_non_finite_variance(capsys):
