@@ -83,12 +83,12 @@ SAMPLE_MAX_UNIFORMS = 10**9
 # decimal digits of d in p = a/d, and each step works on integers that long.
 # K is estimated from the float terms (N)_k p^k; over 60 points with N from 1
 # to 10^6 it was short of the true count by at most 3 terms where K < 100 and
-# by at most 3.4% above.  In process on the same VM, N = 10^6 takes 2.0 s at
-# alpha = 0.999999 (K = 9256, D = 13, K*D = 1.2e5) and 3.3 s at alpha =
+# by at most 3.4% above.  In process on a 2-vCPU VM, N = 10^6 takes 0.5 s at
+# alpha = 0.999999 (K = 9256, D = 13, K*D = 1.2e5) and 0.7 s at alpha =
 # 0.99999999 (K*D = 1.47e5), the slowest point measured that is admitted.
-# Refused: N = 300 with D = 1003 (K*D = 1.7e5) would take 1.2 s, N = 10^6 at
-# alpha = 0.99999999991234567891234 (K*D = 3.0e5) 9.8 s and N = 10^4 with
-# D = 1005 (K*D = 1.0e6) 51 s.  An N*D budget would refuse N = 10^6 at
+# Refused: N = 300 with D = 1003 (K*D = 1.7e5) would take 0.04 s, N = 10^6
+# at alpha = 0.99999999991234567891234 (K*D = 3.0e5) 2.9 s and N = 10^4 with
+# D = 1001 (K*D = 1.0e6) 15 s.  An N*D budget would refuse N = 10^6 at
 # alpha = 0.5, where K = 55.
 SAMPLE_MEAN_MAX_KD = 150_000
 

@@ -16,7 +16,8 @@ times a ratio of small integers, P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).
 Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and
 keeps only their exponentials: one numpy kernel per family maps a block of
 support points to log terms, with Python's math.* functions mapped over the
-block.
+block.  numpy is imported inside the float PMF functions, so exact mode and
+the moments run without it.
 Tables come back as read-only float64 arrays, filled in blocks of _BLOCK
 points.  Before the kernel runs on a block, the same log term, taken with
 Stirling log-factorials and numpy's log and log1p, screens out the points
@@ -54,11 +55,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .stirling import horner, split_index, stirling_rows
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Number = Union[Fraction, float]
 
@@ -304,6 +306,8 @@ def _abelian_terms(N: int, p: Fraction, bs: range):
 def _map(f, x: np.ndarray) -> np.ndarray:
     # The math.* functions, not numpy's: np.log, np.log1p, np.exp and
     # scipy.special.gammaln round some last bits differently.
+    import numpy as np
+
     return np.fromiter(map(f, x.tolist()), np.float64, len(x))
 
 
@@ -331,6 +335,8 @@ def _stirling_log_factorial(j: np.ndarray) -> np.ndarray:
     Stirling's series for lgamma(x) at x = j+1, cut after its constant:
     lgamma(x) = (x - 1/2) log x - x + log(2 pi)/2 + mu(x), 0 < mu(x) < 1/(12x).
     """
+    import numpy as np
+
     x = j + 1.0
     return (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI
 
@@ -365,6 +371,8 @@ def _avalanche_log_block(params: Params, b: np.ndarray, log_factorial, log, log1
     The base of (1 - (b+1)*p)^(N-b) is taken as 1 - min(b+1, N)*p > 0: it
     differs only at b = N, where the exponent is 0.
     """
+    import numpy as np
+
     N, p = params.N, params.p
     log_binom = (math.lgamma(N + 1) - log_factorial(b)) - log_factorial(N - b)
     lp = log_binom + b * math.log(p) + (b - 1) * log(b + 1)
@@ -407,6 +415,8 @@ def pmf(family: str, params: Params, b: int) -> Number:
     if params.is_exact:
         exact_terms, _, shift, _, _, _ = _TERMS[family]
         return next(exact_terms(params.N, params.p, range(b - shift, b - shift + 1)))
+    import numpy as np
+
     return _float_block(family, params, np.array([b]))[0].item()
 
 
@@ -417,6 +427,8 @@ def pmf_table(family: str, params: Params) -> PmfTable:
     if params.is_exact:
         probs = tuple(exact_terms(params.N, params.p, range(sup.start - shift, sup.stop - shift)))
         return PmfTable(family, params, sup, probs, None)
+    import numpy as np
+
     probs = np.zeros(len(sup))
     for start in range(0, len(sup), _BLOCK):
         b = np.arange(sup.start + start, min(sup.start + start + _BLOCK, sup.stop))
@@ -479,20 +491,36 @@ def rounded_avalanche_mean(params: Params) -> float:
     terms after t_k sum to less than t_k * alpha/(1-alpha).  Once the
     partial sum S_k and S_k plus that bound round to the same float, the
     whole sum rounds to it too.  Int / int is correctly rounded, as
-    float(Fraction) is, so the result is the same float at any N.
+    float(Fraction) is, so the result is the same float at any N.  The
+    test costs two big-integer divisions, so a bit-length screen skips it
+    while the bound is above 2^-50 times S_k, where it cannot pass; if no
+    test passes, the result is the float of the whole sum.
     """
     if not params.is_exact:
         raise ValueError("rounded_avalanche_mean requires exact-mode params")
     N, a, d = params.N, params.p.numerator, params.p.denominator
     rest = d - N * a  # (1 - alpha) * d
-    # S_k = s / d^k and t_k = t / d^k; the tail bound is t*N*a / (d^k * rest)
+    # S_k = s / d^k and t_k = t / d^k; the tail bound is T / (d^k * rest)
+    # with T = t*N*a, and S_k = U / (d^k * rest) with U = s*rest.  As
+    # 2^(n-1) <= x < 2^n for n = x.bit_length(), the screen below gives
+    # T / U > 2^(t_bits + na_bits - 2 - s_bits - rest_bits) >= 2^-50.  With
+    # 2^e <= S_k < 2^(e+1), the bound is then above 2^(e-50), four ulps of
+    # S_k's binade, while the reals that round to one float span at most 1.5
+    # ulps (1.5 at a power of two), so a screened test would fail: the loop
+    # stops at the same k.  A test that runs has T / U < 2^-47, so S_k plus
+    # the bound cannot overflow.  In the subnormal range a passing test may
+    # be skipped; a later stop or the whole sum gives the same float.
+    na = N * a
+    cut = rest.bit_length() - na.bit_length() - 48
     dk = 1
     for s, t in _falling_power_series(N, a, d):
         dk *= d
+        if t.bit_length() >= s.bit_length() + cut:
+            continue
         mean = s / dk
-        if mean == (s * rest + t * N * a) / (dk * rest):
-            break
-    return mean
+        if mean == (s * rest + t * na) / (dk * rest):
+            return mean
+    return s / dk
 
 
 def abelian_second_moment(params: Params) -> Number:

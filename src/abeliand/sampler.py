@@ -14,17 +14,19 @@ m*N uniforms are read in row-major order, draw i taking uniforms i*N ..
 i*N + N - 1.  Results therefore depend only on (params, M, seed), regardless
 of how chunks are scheduled or merged.  The kernel reads each chunk in row
 blocks of about BLOCK uniforms, so its memory is bounded per block, not per
-chunk.
+chunk.  numpy is imported on the first call that draws, not with the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dist import Params
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK = 1 << 16
 BLOCK = 1 << 16  # uniforms per row block of _draw_chunk (one row if N is larger)
@@ -83,6 +85,8 @@ def substream(seed: int, k: int) -> np.random.Generator:
     """Generator for chunk k of a run seeded with ``seed`` (see module doc)."""
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))))
 
 
@@ -102,6 +106,8 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
     # g - 1, and one check u < t_g (the loop's own comparison) lifts it
     # where needed.  A row with no uniform in [t_1, 1) has F(1) = 0 and
     # S = 0, so only the other rows are histogrammed.
+    import numpy as np
+
     N = params.N
     p = float(params.p)
     t = 1.0 - p * np.arange(N + 1)
@@ -137,6 +143,8 @@ def monte_carlo(params: Params, M: int, seed: int) -> SampleStats:
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    import numpy as np
+
     N = params.N
     counts = np.zeros(N + 1, dtype=np.int64)
     done = 0

@@ -653,6 +653,57 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout == "False\n"
 
 
+NUMPY_FREE_ARGV = [
+    *(
+        ["moments", "--family", family, "--mode", mode, "--N", "50", "--alpha", "1/3"]
+        for family in dist.FAMILIES
+        for mode in ("exact", "float")
+    ),
+    ["limit", "--alpha", "0.5"],
+    ["pmf", "--family", "abelian", "--N", "30", "--alpha", "1/3"],
+    [
+        "verify", "--max-n", "10",
+        *(flag for suite in ("stirling", "bounds", "pmf", "moments", "shift", "jdecomp", "limit")
+          for flag in ("--suite", suite)),
+    ],
+]
+
+
+def test_numpy_free_paths_run_without_numpy(capsys):
+    """Exact paths, moments, limit and the exact verify suites run where numpy cannot be imported.
+
+    A child process blocks ``import numpy`` and runs each command through
+    cli.main; its stdout must equal this process's.  Float pmf in the same
+    child fails on the blocked import, so the block is in force.
+    """
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import abeliand, abeliand.cli\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buf, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):\n"
+        "        out.append([abeliand.cli.main(argv), buf.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    float_pmf = ["pmf", "--family", "abelian", "--mode", "float", "--N", "30", "--alpha", "0.5"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([*NUMPY_FREE_ARGV, float_pmf])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    *child, (float_code, float_out, float_err) = json.loads(proc.stdout)
+    for argv, (child_code, child_out, child_err) in zip(NUMPY_FREE_ARGV, child):
+        assert (child_code, child_err) == (0, ""), argv
+        assert child_out == run(capsys, *argv)[1], argv
+    assert float_code == 2 and float_out == ""
+    assert "numpy" in float_err
+
+
 def test_verify_sampler_leaves_scipy_unloaded():
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     # 20000 draws run the whole suite quickly; its thresholds assume 1e6, so

@@ -305,6 +305,33 @@ def test_rounded_avalanche_mean_is_the_float_of_the_exact_mean(params, heavy):
     assert rounded_avalanche_mean(params) == float(avalanche_mean(params))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 300])
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        Fraction(1, 2),
+        1 - Fraction(1, 10**400),
+        Fraction(1, 10**300),
+        Fraction(10**1002 + 1, 2 * 10**1002),
+    ],
+    ids=["half", "one-minus-1e-400", "1e-300", "half-D1003"],
+)
+def test_rounded_avalanche_mean_on_a_grid(N, alpha):
+    """The screened stop gives the float of the exact mean, tail bounds up to 1e400 included.
+
+    The exact reference takes up to about 0.9 s (N = 300, D = 1003 digits),
+    at the long prefixes the screen is for.
+    """
+    params = Params.exact(N, alpha=alpha)
+    assert rounded_avalanche_mean(params) == float(avalanche_mean(params))
+
+
+def test_rounded_avalanche_mean_does_not_overflow_on_its_tail_bound():
+    # The tail bound alpha/(1-alpha) is about 1e400 here; the stop test once
+    # divided it out as a float and raised OverflowError.
+    assert rounded_avalanche_mean(Params.exact(2, alpha=1 - Fraction(1, 10**400))) == 1.5
+
+
 # The series sum s_n / d^n is reduced by q^(v_q(n!)) for each prime q of d,
 # with no gcd taken: a wrong exponent leaves a wrong or unreduced Fraction.
 @settings(max_examples=150, deadline=None)
