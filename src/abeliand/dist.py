@@ -502,12 +502,13 @@ def rounded_avalanche_mean(params: Params) -> float:
     rest = d - N * a  # (1 - alpha) * d
     # S_k = s / d^k and t_k = t / d^k; the tail bound is T / (d^k * rest)
     # with T = t*N*a, and S_k = U / (d^k * rest) with U = s*rest.  As
-    # 2^(n-1) <= x < 2^n for n = x.bit_length(), the screen below gives
+    # 2^(n-1) <= x < 2^n for n = x.bit_length(), the screen below,
+    # t_bits + na_bits >= s_bits + rest_bits - 48, gives
     # T / U > 2^(t_bits + na_bits - 2 - s_bits - rest_bits) >= 2^-50.  With
     # 2^e <= S_k < 2^(e+1), the bound is then above 2^(e-50), four ulps of
-    # S_k's binade, while the reals that round to one float span at most 1.5
-    # ulps (1.5 at a power of two), so a screened test would fail: the loop
-    # stops at the same k.  A test that runs has T / U < 2^-47, so S_k plus
+    # S_k's binade, while the reals that round to one float span one ulp, or
+    # 1.5 at a power of two, so a screened test would fail: the loop stops
+    # at the same k.  A test that runs has T / U < 2^-47, so S_k plus
     # the bound cannot overflow.  In the subnormal range a passing test may
     # be skipped; a later stop or the whole sum gives the same float.
     na = N * a

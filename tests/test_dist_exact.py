@@ -327,8 +327,8 @@ def test_rounded_avalanche_mean_on_a_grid(N, alpha):
 
 
 def test_rounded_avalanche_mean_does_not_overflow_on_its_tail_bound():
-    # The tail bound alpha/(1-alpha) is about 1e400 here; the stop test once
-    # divided it out as a float and raised OverflowError.
+    # The tail bound alpha/(1-alpha) is about 1e400 here, past the float
+    # range, so no stop test may divide it out while it is that large.
     assert rounded_avalanche_mean(Params.exact(2, alpha=1 - Fraction(1, 10**400))) == 1.5
 
 
