@@ -12,9 +12,19 @@ split into fixed chunks of CHUNK = 65536 draws, and chunk k uses numpy's
 PCG64 bit generator seeded with SeedSequence(s, spawn_key=(k,)); the chunk's
 m*N uniforms are read in row-major order, draw i taking uniforms i*N ..
 i*N + N - 1.  Results therefore depend only on (params, M, seed), regardless
-of how chunks are scheduled or merged.  The kernel reads each chunk in row
-blocks of about BLOCK uniforms, so its memory is bounded per block, not per
-chunk.  numpy is imported on the first call that draws, not with the module.
+of how chunks are scheduled or merged.  tests/stream_reference.py replays
+that stream in pure Python, bit for bit.
+
+The kernel reads each chunk in row blocks of about BLOCK uniforms, so its
+memory is bounded per block, not per chunk.  It counts on the loop's own
+float thresholds, so every draw equals epsilon_sequence's, but it works
+only on the uniforms that can end a row's avalanche: at a screen width K,
+the about K*p*N uniforms of a row that lie within K*p of 1.  K starts at
+FIRST_WIDTH and grows fourfold for the rows whose avalanche runs past it;
+once K*p passes SCREEN_CUT (or K reaches N) the rows left are counted over
+all their uniforms.  A row thus costs one compare per uniform at each width
+it passes, on top of the fill of its uniforms.  numpy is imported on the
+first call that draws, not with the module.
 """
 
 from __future__ import annotations
@@ -30,6 +40,14 @@ if TYPE_CHECKING:
 
 CHUNK = 1 << 16
 BLOCK = 1 << 16  # uniforms per row block of _draw_chunk (one row if N is larger)
+# _draw_chunk screens rows first at width K = FIRST_WIDTH, then at 4K, while
+# K*p, the share of uniforms a screen keeps, is at most SCREEN_CUT.  Best of 7
+# in process on a 2-vCPU VM, against these values: a first width of 16 slowed
+# N = 100, alpha = 0.5 by 21% and one of 4 slowed N = 10^4, alpha = 0.9 by
+# 10%; screening up to K*p = 1 slowed N = 10, alpha = 0.8 (K*p = 0.64) by 26%,
+# where selecting the uniforms costs more than it saves.
+FIRST_WIDTH = 8
+SCREEN_CUT = 0.25
 
 
 @dataclass(frozen=True)
@@ -95,42 +113,72 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
     # t_j = 1.0 - p*j (the loop's thresholds), g(u) the least j >= 1 with
     # u >= t_j and F(x) = #{g <= x}, step k counts the uniforms with
     # c_{k-2} < g <= c_{k-1}, so c_k = 1 + F(c_{k-1}).  The c_k climb to the
-    # least x >= 1 with F(x) < x, where F(x) = x - 1, so S = x - 1: one
-    # histogram of g and one cumsum per row.  g = N + 1 stands for "no
-    # j <= N"; F(N + 1) = N < N + 1 then ends every row.
+    # least x >= 1 with F(x) < x, where F(x) = x - 1, so S = x - 1.  g = N + 1
+    # stands for "no j <= N"; F(N + 1) = N < N + 1 then ends every row.
     # g is guessed as ceil((1 - u)/p - 1/2 - 2^-54/p).  Near 1, u and t_j
     # lie on the 2^-53 grid, so u >= t_j where p*j passes 1 - u - 2^-54,
     # even if p is below one grid step and several j share one t_j; further
     # down the grid is finer and p > 1/(2N).  The other rounding errors are
     # a few 2^-53 relative, far below half a step, so the guess is g or
     # g - 1, and one check u < t_g (the loop's own comparison) lifts it
-    # where needed.  A row with no uniform in [t_1, 1) has F(1) = 0 and
-    # S = 0, so only the other rows are histogrammed.
+    # where needed.
+    # The screen: float multiplication and subtraction are monotone, so t is
+    # non-increasing, and u >= t_K holds exactly when g(u) <= K (if g <= K,
+    # u >= t_g >= t_K; if u >= t_K, the least j with u >= t_j is at most K).
+    # F(x) for x <= K counts only uniforms with g <= K, so the uniforms with
+    # u >= t_K give it exactly, whatever the others are.  Only those get a
+    # guess, which is at most g <= K, so the clip to [1, K] and the lift keep
+    # it in range, and a histogram over K + 1 cells per row.  The least x <= K
+    # with F(x) < x, if any, is the row's stop: S = x - 1.  A row with none
+    # stops past K, so S >= K, and is screened again at 4K; each screen
+    # decides the rows it can and passes on the rest.  K grows until K*p
+    # passes SCREEN_CUT or K reaches N, after at most log4(N) screens, and the
+    # rows left then take the unscreened histogram over N + 2 cells, in which
+    # F(N + 1) = N decides every row.  That path first drops the rows with
+    # no uniform in [t_1, 1), which have F(1) = 0 and S = 0.
     import numpy as np
 
     N = params.N
     p = float(params.p)
     t = 1.0 - p * np.arange(N + 1)
     shift = 0.5 + 2.0**-54 / p
-    rows = max(1, BLOCK // N)
-    width = N + 2
-    steps = np.arange(1, N + 2)
-    s = np.zeros(m, dtype=np.int64)
-    for start in range(0, m, rows):
-        u = rng.random((min(rows, m - start), N))
-        hit = np.flatnonzero(u.max(axis=1) >= t[1])
-        u = u[hit]
-        r = len(hit)
+
+    def first_passage(u, K):
         x = 1.0 - u
         x /= p
         x -= shift
         np.ceil(x, out=x)
-        g = np.clip(x, 1, N, out=x).astype(np.intp)
+        g = np.clip(x, 1, K, out=x).astype(np.intp)
         g += u < t.take(g)
-        g += np.arange(0, r * width, width)[:, None]
+        return g
+
+    def stop(g, r, width):
         F = np.bincount(g.ravel(), minlength=r * width).reshape(r, width)
         np.cumsum(F, axis=1, out=F)
-        s[start + hit] = (F[:, 1:] < steps).argmax(axis=1)
+        below = F[:, 1:] < np.arange(1, width)
+        return below.argmax(axis=1), below.any(axis=1)
+
+    rows = max(1, BLOCK // N)
+    s = np.zeros(m, dtype=np.int64)
+    for start in range(0, m, rows):
+        u = rng.random((min(rows, m - start), N))
+        live = np.arange(start, start + len(u))
+        K = FIRST_WIDTH
+        while len(live) and K < N and K * p <= SCREEN_CUT:
+            i = np.flatnonzero(u >= t[K])
+            g = first_passage(u.ravel()[i], K)
+            g += i // N * (K + 1)
+            S, done = stop(g, len(u), K + 1)
+            s[live[done]] = S[done]
+            live = live[~done]
+            u = u[~done]
+            K *= 4
+        if len(live):
+            hit = np.flatnonzero(u.max(axis=1) >= t[1])
+            r = len(hit)
+            g = first_passage(u[hit], N)
+            g += np.arange(0, r * (N + 2), N + 2)[:, None]
+            s[live[hit]] = stop(g, r, N + 2)[0]
     return s
 
 

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import stream_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -248,6 +249,11 @@ def _edge_rows(params, count, seed):
         (40, 0.999999 / 40),
         (40, 1e-7 / 40),
         (200, 0.9 / 200),
+        # rows that pass the first screen width, widen and cross the K*p cut;
+        # the exact-threshold rows have S = N and widen all the way
+        (300, 0.999999 / 300),
+        (1000, 0.9 / 1000),
+        (1000, 0.3 / 1000),
         # p between half a grid step and one (the floats below 1 are 2^-53
         # apart): thresholds closer than one step, several t_j on one float
         *[(N, m * 2.0**-54) for m in (1.01, 1.25, 1.5, 1.75, 1.99) for N in (2, 7, 30, 64, 200)],
@@ -282,6 +288,23 @@ def test_draw_chunk_matches_reference_trace(N, log_alpha, seed, m):
     assert s.tolist() == [epsilon_sequence(params, row).S for row in rows]
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(61, 400),
+    log_gap=st.floats(math.log(1e-6), math.log(0.99)),
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+)
+def test_screened_draw_chunk_matches_reference_trace(N, log_gap, seed, m):
+    """Rows long enough to widen the screen, alpha up to 1 - 1e-6, where
+    most rows pass several widths; the default BLOCK, so each block holds
+    whole rows."""
+    params = Params.stable(N, alpha=1.0 - math.exp(log_gap))
+    s = sampler._draw_chunk(params, substream(seed, 0), m)
+    rows = substream(seed, 0).random((m, N))
+    assert s.tolist() == [epsilon_sequence(params, row).S for row in rows]
+
+
 def test_moment_sums_do_not_wrap(monkeypatch):
     # every draw at b = N = 2^22 over M = 2^19 draws: sum b^2 * count is
     # 2^63, one past the int64 range
@@ -291,3 +314,19 @@ def test_moment_sums_do_not_wrap(monkeypatch):
     assert stats.empirical_pmf == {N: M}
     assert stats.empirical_mean == N
     assert stats.empirical_variance == 0.0
+
+
+@pytest.mark.parametrize("seed, k", [(0, 0), (42, 0), (2024, 3), (2**70 + 12345, 7), (123456789, 2**40 + 5)])
+def test_substream_matches_stream_reference(seed, k):
+    assert substream(seed, k).random(1000).tolist() == stream_reference.substream(seed, k).random(1000)
+
+
+def test_stream_reference_replays_a_pinned_count_vector():
+    # the STREAM_DIGESTS row for N = 2, drawn with no numpy in the stream
+    N, alpha, M, seed, digest = STREAM_DIGESTS[1]
+    params = Params.stable(N, alpha=alpha)
+    us = stream_reference.substream(seed, 0).random(M * N)
+    counts = [0] * (N + 1)
+    for i in range(0, M * N, N):
+        counts[epsilon_sequence(params, us[i : i + N]).S] += 1
+    assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
