@@ -152,11 +152,10 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
         g += u < t.take(g)
         return g
 
-    def stop(g, r, width):
+    def below(g, r, width):  # F(x) < x for x = 1 .. width - 1, per row
         F = np.bincount(g.ravel(), minlength=r * width).reshape(r, width)
         np.cumsum(F, axis=1, out=F)
-        below = F[:, 1:] < np.arange(1, width)
-        return below.argmax(axis=1), below.any(axis=1)
+        return F[:, 1:] < np.arange(1, width)
 
     rows = max(1, BLOCK // N)
     s = np.zeros(m, dtype=np.int64)
@@ -168,8 +167,9 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
             i = np.flatnonzero(u >= t[K])
             g = first_passage(u.ravel()[i], K)
             g += i // N * (K + 1)
-            S, done = stop(g, len(u), K + 1)
-            s[live[done]] = S[done]
+            b = below(g, len(u), K + 1)
+            done = b.any(axis=1)
+            s[live[done]] = b[done].argmax(axis=1)
             live = live[~done]
             u = u[~done]
             K *= 4
@@ -178,7 +178,7 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
             r = len(hit)
             g = first_passage(u[hit], N)
             g += np.arange(0, r * (N + 2), N + 2)[:, None]
-            s[live[hit]] = stop(g, r, N + 2)[0]
+            s[live[hit]] = below(g, r, N + 2).argmax(axis=1)
     return s
 
 
