@@ -70,10 +70,12 @@ PMF_MAX_ND = 20_000
 MOMENTS_MAX_ND = 100_000
 
 # Largest N, and largest N*M (uniforms drawn), that `sample` serves, from
-# measurements on the same VM: the kernel draws 31-69 M uniforms/s for
-# N >= 10 (N = 1000, M = 10^6 takes 15 s) and 11 M draws/s at N = 1, so a
-# run at the N*M cap takes 15-90 s.  One row of N = 10^6 uniforms and its
-# temporaries peak at about 100 MB RSS, growing linearly in N.
+# measurements on the same VM, end to end at alpha = 0.9 and N*M = 10^8: 35 M
+# uniforms/s at N = 10, 62 M at N = 100, 84 M at N = 1000 and 100-115 M for
+# N = 10^4 and 10^6 (N = 1000, M = 10^6 takes 8.4 s), and 9.5-11 M draws/s at
+# N = 1, so a run at the N*M cap takes about 8 s for N >= 1000 and up to
+# 105 s at N = 1.  One row of N = 10^6 uniforms and its temporaries peak at
+# about 67 MB RSS, growing linearly in N.
 SAMPLE_MAX_N = 10**6
 SAMPLE_MAX_UNIFORMS = 10**9
 

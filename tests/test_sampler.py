@@ -189,7 +189,8 @@ def test_monte_carlo_rejects_bad_args():
 
 # sha256 of the monte_carlo count vector (comma-joined counts for b = 0..N)
 # for a fixed table of (N, alpha, M, seed): pins the stream contract, so a
-# kernel rewrite has to reproduce every draw bit for bit.
+# kernel rewrite has to reproduce every draw bit for bit.  Checked with numpy
+# 2.4.6; tests/stream_reference.py replays the uniforms without numpy.
 STREAM_DIGESTS = [
     (1, 0.3, 20_000, 1, "dc26688c49a4244728b0c54dd00fd0948e5b4653500deace30c76f675495f124"),
     (2, 0.5, 20_000, 2, "36399ae9d088c7a7195eb23a289aa819886f177b90b04a9764a2bb41f68d35af"),
