@@ -2,16 +2,10 @@
 
 ``substream(s, k)`` in ``abeliand.sampler`` is numpy's
 ``Generator(PCG64(SeedSequence(s, spawn_key=(k,))))``, read with
-``random()``.  This module writes that contract out step by step:
-
-* SeedSequence turns the seed and the spawn key into 32-bit words (least
-  significant first; the seed padded with zero words to the pool size of 4
-  when a spawn key is given), hashes them into a 4-word pool, and
-  ``generate_state`` draws 8 words from the pool, read as 4 little-endian
-  64-bit words;
-* PCG64 takes those as (state, increment) = (w0 << 64 | w1, w2 << 64 | w3),
-  seeds a 128-bit LCG with them and outputs XSL-RR of each new state;
-* ``random()`` is (x >> 11) * 2^-53 of each 64-bit output x.
+``random()``.  This module writes that contract out step by step, as the
+README's "Seeds and determinism" section states it: SeedSequence's entropy
+pool and ``generate_state``, PCG64's seeding and XSL-RR output, and
+``random() = (x >> 11) * 2^-53``.
 """
 
 MASK32 = (1 << 32) - 1

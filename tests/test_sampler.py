@@ -297,8 +297,8 @@ def test_draw_chunk_matches_reference_trace(N, log_alpha, seed, m):
     m=st.integers(1, 40),
 )
 def test_screened_draw_chunk_matches_reference_trace(N, log_gap, seed, m):
-    """Rows long enough to widen the screen, alpha up to 1 - 1e-6, where
-    most rows pass several widths; the default BLOCK, so each block holds
+    """Rows long enough to widen the screen, with alpha up to 1 - 1e-6,
+    where rows pass several widths; the default BLOCK, so each block holds
     whole rows."""
     params = Params.stable(N, alpha=1.0 - math.exp(log_gap))
     s = sampler._draw_chunk(params, substream(seed, 0), m)
