@@ -94,6 +94,13 @@ SAMPLE_MAX_UNIFORMS = 10**9
 # alpha = 0.5, where K = 55.
 SAMPLE_MEAN_MAX_KD = 150_000
 
+# Largest --max-n that `verify` serves, the one size budget of the brute-force
+# oracles.  The exact pmf and moments sweeps grow about as N^2.4: in process on
+# the same VM they take 3.2 and 2.9 s to N = 100 and 8.6 and 6.3 s to N = 150.
+# A full `verify --max-n 150` takes 17-20 s end to end and peaks at 45 MB,
+# under exact `pmf` at its own cap (26 s); the default 25 takes 2.3 s.
+VERIFY_MAX_N = 150
+
 
 def _parse_ratio(text: str) -> Fraction:
     """Parse "num/den" or a decimal literal into an exact Fraction."""
@@ -285,8 +292,6 @@ def run_limit(args) -> int:
 def run_sample(args) -> int:
     exact, params = _build_params(args, "float")
     seed = _resolve_seed(args.seed)
-    if args.M < 1:
-        raise ValueError("M must be >= 1")
     if args.N > SAMPLE_MAX_N:
         raise ValueError(f"sample serves N <= {SAMPLE_MAX_N}, got N={args.N}")
     if args.N * args.M > SAMPLE_MAX_UNIFORMS:
@@ -314,6 +319,8 @@ def run_verify(args) -> int:
     for flag, value in (("--max-n", args.max_n), ("--samples", args.samples)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    if args.max_n > VERIFY_MAX_N:
+        raise ValueError(f"verify serves --max-n <= {VERIFY_MAX_N}, got --max-n={args.max_n}")
     seed = _resolve_seed(args.seed)
     names = args.suite if args.suite else None
     results = verify.run_suites(names, max_n=args.max_n, samples=args.samples, seed=seed)
@@ -390,14 +397,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=25,
-        help="cap N for the exact sweeps (moments stops at 30, shift and jdecomp at 20)",
+        help=f"cap N for the exact sweeps, at most {VERIFY_MAX_N} (shift and jdecomp stop at 20)",
     )
     p_ver.add_argument(
         "--samples",
         type=int,
         default=1_000_000,
-        help="Monte Carlo draws per sampler check "
-        "(statistical thresholds assume the default)",
+        help="Monte Carlo draws per sampler check",
     )
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.set_defaults(func=run_verify)

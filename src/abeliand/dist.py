@@ -64,7 +64,6 @@ if TYPE_CHECKING:
 
 Number = Union[Fraction, float]
 
-_BRUTE_FORCE_N_MAX = 30
 # Above this N the float second moment abandons the direct bracket, whose
 # leading terms cancel to O(p), for the J-term tail form.
 _FLOAT_TAIL_N = 1000
@@ -601,13 +600,11 @@ FAMILIES = tuple(_TERMS)
 
 
 def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
-    """k-th raw moment summed over the exact table, N <= 30: the oracle for every series."""
+    """k-th raw moment summed over the exact table: the oracle for every series."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if not params.is_exact:
         raise ValueError("brute_force_moment requires exact-mode params")
-    if params.N > _BRUTE_FORCE_N_MAX:
-        raise ValueError(f"exact brute force guarded to N <= {_BRUTE_FORCE_N_MAX}")
     table = pmf_table(family, params)
     return sum(Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact))
 

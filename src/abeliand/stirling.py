@@ -30,8 +30,6 @@ from itertools import combinations, islice
 # the true value, so `product <= E2_LOWER` implies `product <= e^2`.
 E2_LOWER = Fraction(73890560989, 10**10)
 
-_SUBSET_ORACLE_MAX = 14
-
 
 @dataclass(frozen=True)
 class StirlingRow:
@@ -80,11 +78,9 @@ def unsigned_stirling(i: int, j: int) -> int:
 def unsigned_stirling_subset_oracle(i: int, j: int) -> int:
     """|s(i,j;1)| by enumerating every j-subset of {1..i}.
 
-    Independent of the row recurrence; exponential cost, so capped at
-    i <= 14.  Requires j >= 1 (the formula is stated for i >= j > 0).
+    Independent of the row recurrence; its cost is exponential in i.
+    Requires j >= 1 (the formula is stated for i >= j > 0).
     """
-    if i > _SUBSET_ORACLE_MAX:
-        raise ValueError(f"subset oracle capped at i <= {_SUBSET_ORACLE_MAX}")
     if j == 0 or j > i:
         raise ValueError(f"need i >= j > 0, got i={i}, j={j}")
     total = Fraction(0)

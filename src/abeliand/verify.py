@@ -323,7 +323,9 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     stats = draws[10]
     table = dist.pmf_table("avalanche", exact)
     tv = total_variation(stats.empirical_pmf, stats.M, table)
-    r.check(tv < 0.005, f"TV distance {tv:.5f} >= 0.005 at N=10, p=0.08")
+    # TV's sampling noise shrinks like 1/sqrt(M): 0.005 at 10^6 draws.
+    bound = 0.005 * math.sqrt(10**6 / samples)
+    r.check(tv < bound, f"TV distance {tv:.5f} >= {bound:g} at N=10, p=0.08")
     gap = abs(stats.empirical_mean - dist.rounded_avalanche_mean(exact))
     r.check(
         gap <= 4 * stats.stderr_mean,
@@ -359,7 +361,7 @@ def _runners(max_n: int, samples: int, seed: int) -> dict:
         "stirling": suite_stirling,
         "bounds": suite_bounds,
         "pmf": lambda: suite_pmf(max_n),
-        "moments": lambda: suite_moments(min(max_n, dist._BRUTE_FORCE_N_MAX)),
+        "moments": lambda: suite_moments(max_n),
         "shift": lambda: suite_shift(min(max_n, 20)),
         "jdecomp": lambda: suite_jdecomp(min(max_n, 20)),
         "float": suite_float,

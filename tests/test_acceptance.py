@@ -171,6 +171,7 @@ def _run_cli(*argv):
 
 
 def test_criterion_9_byte_identical_determinism():
+    """About 1.7 s: four child processes, two sampling 10^5 draws and two 2*10^5 per sampler point."""
     with report("criterion 9: verify and sample runs are byte-identical"):
         sample_args = ("sample", "--N", "10", "--p", "0.08", "--M", "100000",
                        "--seed", str(RECORDED_SEED))

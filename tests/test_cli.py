@@ -163,6 +163,7 @@ def test_limit_json_bytes_match_one_list(capsys):
 
 
 def test_pmf_json_streams_its_rows(monkeypatch):
+    """About 4-6 s: tracemalloc slows the N = 2*10^5 float JSON run from 0.6 s."""
     # Built as one list of row dicts and one string, the JSON table at
     # N = 2e5 peaked at 62 MB traced; streamed it stays with the CSV path's
     # ~10 MB (the table and its kernel's blocks).
@@ -290,6 +291,14 @@ def test_sample_budget_admits_its_edge(capsys, monkeypatch, N, M):
     code, out, _ = run(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
     assert code == 0
     assert json.loads(out)["M"] == M
+
+
+@pytest.mark.parametrize("M", ["0", "-3"])
+def test_sample_refuses_nonpositive_m(capsys, M):
+    code, out, err = run(capsys, "sample", "--N", "10", "--alpha", "0.5", "--M", M)
+    assert code == 2
+    assert out == ""
+    assert err == "abeliand: error: M must be >= 1\n"
 
 
 def test_pmf_budget_admits_the_documented_sizes():
@@ -706,8 +715,7 @@ def test_numpy_free_paths_run_without_numpy(capsys):
 
 def test_verify_sampler_leaves_scipy_unloaded():
     src = pathlib.Path(cli.__file__).resolve().parents[1]
-    # 20000 draws run the whole suite quickly; its thresholds assume 1e6, so
-    # the TV check may fail here, which does not matter to this test.
+    # 20000 draws run the whole suite quickly.
     code = (
         "import sys\n"
         "from abeliand.cli import main\n"
@@ -722,7 +730,7 @@ def test_verify_sampler_leaves_scipy_unloaded():
         check=True,
     )
     lines = proc.stdout.splitlines()
-    assert "sampler (10 checks" in lines[0]
+    assert lines[0] == "PASS sampler (10 checks)"
     assert lines[-1] == "False"
 
 
@@ -771,13 +779,23 @@ def test_verify_refuses_nonpositive_sweep_flags(capsys, monkeypatch, flag, value
     assert err == f"abeliand: error: {flag} must be >= 1, got {value}\n"
 
 
-def test_verify_moments_stops_at_the_brute_force_guard(capsys, monkeypatch):
-    monkeypatch.setattr(dist, "_BRUTE_FORCE_N_MAX", 4)  # a cheap guard
-    _, at_cap, _ = run(capsys, "verify", "--suite", "moments", "--max-n", "4")
-    code, past_cap, _ = run(capsys, "verify", "--suite", "moments", "--max-n", "5")
+def test_verify_moments_sweeps_past_n_30(capsys):
+    # 31 N values * 9 alphas * 3 Abelian checks, and the Avalanche mean at N <= 20
+    code, out, _ = run(capsys, "verify", "--suite", "moments", "--max-n", "31")
     assert code == 0
-    assert past_cap == at_cap
-    assert past_cap.startswith("PASS moments (")
+    assert out.splitlines()[0] == "PASS moments (1017 checks)"
+
+
+def test_verify_refuses_max_n_over_budget(capsys, monkeypatch):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("run_suites called on refused input")
+
+    monkeypatch.setattr(cli.verify, "run_suites", no_suites)
+    over = cli.VERIFY_MAX_N + 1
+    code, out, err = run(capsys, "verify", "--max-n", str(over))
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: verify serves --max-n <= {cli.VERIFY_MAX_N}, got --max-n={over}\n"
 
 
 def test_verify_usage_error_on_bad_suite():

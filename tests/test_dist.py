@@ -207,8 +207,9 @@ def test_brute_force_basics():
     assert brute_force_moment("abelian", params, 0) == 1
     assert brute_force_moment("abelian", params, 2) == 2
     assert brute_force_moment("avalanche", params, 1) == Fraction(5, 8)
-    with pytest.raises(ValueError):
-        brute_force_moment("abelian", Params.exact(31, alpha=Fraction(1, 2)), 1)
+    big = Params.exact(31, alpha=Fraction(1, 2))  # brute force serves any N
+    m = moments("abelian", big)
+    assert (brute_force_moment("abelian", big, 1), brute_force_moment("abelian", big, 2)) == (m.mean, m.second_moment)
     with pytest.raises(ValueError):
         brute_force_moment("nonsense", params, 1)
     with pytest.raises(ValueError):
@@ -770,6 +771,7 @@ def j_tail_bounds(alpha):
     log_alpha=st.floats(math.log(1e-9), math.log(0.999999)),
 )
 def test_float_j_tail_accuracy(N, log_alpha):
+    """About 1.3 s: 40 exact variances at N from 1001 to 2000."""
     params = Params.stable(N, alpha=min(math.exp(log_alpha), 0.999999))
     exact = abelian_variance(Params.exact(N, p=Fraction(params.p)))
     approx = abelian_variance(params)
@@ -849,6 +851,16 @@ def test_float_variance_relative_error(N, alpha, bound):
     params = Params.stable(N, alpha=alpha)
     exact = abelian_variance(Params.exact(N, p=Fraction(params.p))).variance
     assert abs(Fraction(abelian_variance(params).variance) / exact - 1) <= bound
+
+
+@FLOAT_VARIANCE_XFAIL
+def test_float_bracket_accuracy_at_n1000_tiny_alpha():
+    # A point that test_float_bracket_accuracy's random search reached: the
+    # bracket's E[Z^2] is off by a relative 3.02e-13, past its stated 3e-13.
+    params = Params.stable(1000, alpha=9.6701120869019e-07)
+    exact = abelian_variance(Params.exact(1000, p=Fraction(params.p)))
+    approx = abelian_variance(params)
+    assert abs(Fraction(approx.second_moment) - exact.second_moment) <= Fraction(3e-13) * exact.second_moment
 
 
 # sha256 of ",".join(q.hex() for q in probs_float) for each float table.
@@ -1088,6 +1100,7 @@ def _full_support_table(family, params):
 @example(family="abelian", log_N=math.log(10**5), log_alpha=math.log(0.9))
 @example(family="avalanche", log_N=math.log(2 * 10**5), log_alpha=math.log(0.97))
 def test_float_table_matches_full_support_kernel(family, log_N, log_alpha):
+    """About 2-4 s: 42 tables up to N = 2*10^5, each also built point by point through math.*."""
     params = Params.stable(round(math.exp(log_N)), alpha=min(math.exp(log_alpha), 0.999999))
     expected = [q.hex() for q in _full_support_table(family, params)]
     with mock.patch.object(dist, "_BLOCK", 64):
