@@ -70,12 +70,12 @@ PMF_MAX_ND = 20_000
 MOMENTS_MAX_ND = 100_000
 
 # Largest N, and largest N*M (uniforms drawn), that `sample` serves, from
-# measurements on the same VM, end to end at alpha = 0.9 and N*M = 10^8: 35 M
-# uniforms/s at N = 10, 62 M at N = 100, 84 M at N = 1000 and 100-115 M for
-# N = 10^4 and 10^6 (N = 1000, M = 10^6 takes 8.4 s), and 9.5-11 M draws/s at
-# N = 1, so a run at the N*M cap takes about 8 s for N >= 1000 and up to
-# 105 s at N = 1.  One row of N = 10^6 uniforms and its temporaries peak at
-# about 67 MB RSS, growing linearly in N.
+# measurements on the same VM, end to end at alpha = 0.9 and N*M = 10^8, the
+# sampler on two threads: 48-51 M uniforms/s at N = 10, 74 M at N = 100,
+# 133-164 M at N = 1000, 103 M at N = 10^4 and 130 M at N = 10^6, and 16-17 M
+# draws/s at N = 1.  At the N*M cap N = 1000 takes 4.1 s and N = 1 57 s.  Each
+# thread holds one row of N = 10^6 uniforms and its temporaries: the run peaks
+# at 98 MB RSS, growing linearly in N.
 SAMPLE_MAX_N = 10**6
 SAMPLE_MAX_UNIFORMS = 10**9
 
@@ -100,6 +100,13 @@ SAMPLE_MEAN_MAX_KD = 150_000
 # A full `verify --max-n 150` takes 17-20 s end to end and peaks at 45 MB,
 # under exact `pmf` at its own cap (26 s); the default 25 takes 2.3 s.
 VERIFY_MAX_N = 150
+
+# Largest --samples that `verify` serves: the sampler suite draws it three
+# times, at N = 3, 5 and 10, in time linear in it.  End to end on the same VM
+# the suite takes 4.9 s at 10^7 and 12.7 s at 3*10^7 (39 MB), and 20.8 s at
+# 3*10^7 with the sampler on one thread, about a full `verify --max-n 150`;
+# 4*10^7 took 16.6-18.0 s.
+VERIFY_MAX_SAMPLES = 3 * 10**7
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -321,6 +328,8 @@ def run_verify(args) -> int:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     if args.max_n > VERIFY_MAX_N:
         raise ValueError(f"verify serves --max-n <= {VERIFY_MAX_N}, got --max-n={args.max_n}")
+    if args.samples > VERIFY_MAX_SAMPLES:
+        raise ValueError(f"verify serves --samples <= {VERIFY_MAX_SAMPLES}, got --samples={args.samples}")
     seed = _resolve_seed(args.seed)
     names = args.suite if args.suite else None
     results = verify.run_suites(names, max_n=args.max_n, samples=args.samples, seed=seed)
@@ -403,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=1_000_000,
-        help="Monte Carlo draws per sampler check",
+        help=f"Monte Carlo draws per sampler check, at most {VERIFY_MAX_SAMPLES}",
     )
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.set_defaults(func=run_verify)

@@ -15,22 +15,40 @@ i*N + N - 1.  Results therefore depend only on (params, M, seed), regardless
 of how chunks are scheduled or merged.  tests/stream_reference.py replays
 that stream in pure Python, bit for bit.
 
-The kernel reads each chunk in row blocks of about BLOCK uniforms, so its
-memory is bounded per block, not per chunk.  It counts on the loop's own
-float thresholds, so every draw equals epsilon_sequence's, but it works
-only on the uniforms that can end a row's avalanche: at a screen width K,
-the about K*p*N uniforms of a row that lie within K*p of 1.  K starts at
-FIRST_WIDTH and grows fourfold for the rows whose avalanche runs past it;
-once K*p passes SCREEN_CUT (or K reaches N) the rows left are counted over
-all their uniforms.  A row thus costs one compare per uniform at each width
-it passes, on top of the fill of its uniforms.  numpy is imported on the
-first call that draws, not with the module.
+Each chunk is drawn in pieces, one contiguous run of its rows per worker
+thread; the workers are the CPUs the process may run on.  A piece starting
+at row a builds the chunk's generator and advances it by a*N outputs (PCG64
+jumps ahead in O(log a*N) steps).  random() turns one 64-bit output into one
+double, so the piece reads exactly rows a, a + 1, ... of the chunk's
+row-major stream, and the pieces' counts add up to the chunk's whatever the
+number of workers.  The pieces overlap where numpy releases the interpreter
+lock: the fill of the uniforms and the passes over whole blocks.
+
+The kernel reads each piece in row blocks, so its memory is bounded per
+worker, not per chunk.  A worker's block holds BLOCK // workers uniforms, so
+that the workers together hold about BLOCK, but at least MIN_ROWS rows as
+long as they fit in MAX_BLOCK uniforms: at most MAX_BLOCK uniforms (1 MiB),
+or one row if N is larger, with temporaries of a few times that.  The row
+floor keeps the screen's arrays, about K*p*N uniforms a row, long enough for
+their passes to run outside the lock.
+
+The kernel counts on the loop's own float thresholds, so every draw equals
+epsilon_sequence's, but it works only on the uniforms that can end a row's
+avalanche: at a screen width K, the about K*p*N uniforms of a row that lie
+within K*p of 1.  K starts at FIRST_WIDTH and grows fourfold for the rows
+whose avalanche runs past it; once K*p passes SCREEN_CUT (or K reaches N)
+the rows left are counted over all their uniforms.  A row thus costs one
+compare per uniform at each width it passes, on top of the fill of its
+uniforms.  numpy and concurrent.futures are imported on the first call that
+draws, not with the module.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .dist import Params
@@ -39,7 +57,17 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK = 1 << 16
-BLOCK = 1 << 16  # uniforms per row block of _draw_chunk (one row if N is larger)
+# The row blocks of _draw_chunk (see the module doc).  Twelve passes over the
+# four benchmark points (N = 10 to 1000) in one process on a 2-vCPU VM, median
+# pass, three processes each: one thread reading BLOCK uniforms a block took
+# 0.77-1.10 s and peaked at 38.8-38.9 MB RSS; two workers reading BLOCK // 2
+# each took 1.03-1.05 s, since at N = 100 and 1000 a block then holds 327 and
+# 32 rows, too few for the pieces to overlap; MIN_ROWS = 512 brought it to
+# 0.61-0.74 s at 40.1-40.4 MB.  MIN_ROWS = 1024 peaked at up to 43.2 MB, and
+# MAX_BLOCK = 2^18 at 42.6 MB for 0.62-0.65 s.
+BLOCK = 1 << 16
+MIN_ROWS = 512
+MAX_BLOCK = 1 << 17
 # _draw_chunk screens rows first at width K = FIRST_WIDTH, then at 4K, while
 # K*p, the share of uniforms a screen keeps, is at most SCREEN_CUT.  Best of 7
 # in process on a 2-vCPU VM, against these values: a first width of 16 slowed
@@ -48,6 +76,13 @@ BLOCK = 1 << 16  # uniforms per row block of _draw_chunk (one row if N is larger
 # where selecting the uniforms costs more than it saves.
 FIRST_WIDTH = 8
 SCREEN_CUT = 0.25
+
+
+def _workers() -> int:
+    """Threads that draw a chunk's pieces: the CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -157,7 +192,7 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
         np.cumsum(F, axis=1, out=F)
         return F[:, 1:] < np.arange(1, width)
 
-    rows = max(1, BLOCK // N)
+    rows = max(1, min(max(BLOCK // _workers(), MIN_ROWS * N), MAX_BLOCK) // N)
     s = np.zeros(m, dtype=np.int64)
     for start in range(0, m, rows):
         u = rng.random((min(rows, m - start), N))
@@ -185,24 +220,30 @@ def _draw_chunk(params: Params, rng: np.random.Generator, m: int) -> np.ndarray:
 def monte_carlo(params: Params, M: int, seed: int) -> SampleStats:
     """M seeded draws, chunked per the documented substream rule.
 
-    Counts merge by addition, so the result is independent of chunk
-    execution order; the summary floats are computed once from the merged
-    exact counts.
+    Each chunk is drawn in pieces on a thread pool, closed before this
+    returns.  Counts merge by addition, so the result is independent of how
+    the chunks are split and scheduled; the summary floats are computed once
+    from the merged exact counts.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
 
     N = params.N
+    workers = _workers()
+
+    def piece(k, lo, hi):  # rows lo .. hi - 1 of chunk k
+        rng = substream(seed, k)
+        rng.bit_generator.advance(lo * N)
+        return np.bincount(_draw_chunk(params, rng, hi - lo), minlength=N + 1)
+
     counts = np.zeros(N + 1, dtype=np.int64)
-    done = 0
-    k = 0
-    while done < M:
-        m = min(CHUNK, M - done)
-        s = _draw_chunk(params, substream(seed, k), m)
-        counts += np.bincount(s, minlength=N + 1)
-        done += m
-        k += 1
+    with ThreadPoolExecutor(workers) as pool:
+        for k, start in enumerate(range(0, M, CHUNK)):
+            m = min(CHUNK, M - start)
+            cuts = [*range(0, m, -(-m // workers)), m]
+            counts += sum(pool.map(piece, repeat(k), cuts[:-1], cuts[1:]))
     seen = np.flatnonzero(counts)
     pmf = dict(zip(seen.tolist(), counts[seen].tolist()))
     # Python ints: an int64 sum of b*b*count would wrap past ~9.2e18.

@@ -4,8 +4,8 @@
 ``Generator(PCG64(SeedSequence(s, spawn_key=(k,))))``, read with
 ``random()``.  This module writes that contract out step by step, as the
 README's "Seeds and determinism" section states it: SeedSequence's entropy
-pool and ``generate_state``, PCG64's seeding and XSL-RR output, and
-``random() = (x >> 11) * 2^-53``.
+pool and ``generate_state``, PCG64's seeding, jump-ahead and XSL-RR output,
+and ``random() = (x >> 11) * 2^-53``.
 """
 
 MASK32 = (1 << 32) - 1
@@ -87,6 +87,25 @@ class PCG64:
 
     def _step(self):
         self.state = (self.state * PCG_MULT + self.inc) & MASK128
+
+    def advance(self, delta: int) -> None:
+        """Jump delta steps ahead, as numpy's PCG64.advance(delta) does.
+
+        delta steps of s -> a*s + c compose to s -> A*s + C; squaring the step
+        (a, c) -> (a*a, (a + 1)*c) doubles it, so A and C take O(log delta)
+        products.
+        """
+        mult, plus = PCG_MULT, self.inc
+        acc_mult, acc_plus = 1, 0
+        delta &= MASK128
+        while delta:
+            if delta & 1:
+                acc_mult = acc_mult * mult & MASK128
+                acc_plus = (acc_plus * mult + plus) & MASK128
+            plus = (mult + 1) * plus & MASK128
+            mult = mult * mult & MASK128
+            delta >>= 1
+        self.state = (acc_mult * self.state + acc_plus) & MASK128
 
     def next64(self) -> int:
         self._step()

@@ -798,6 +798,18 @@ def test_verify_refuses_max_n_over_budget(capsys, monkeypatch):
     assert err == f"abeliand: error: verify serves --max-n <= {cli.VERIFY_MAX_N}, got --max-n={over}\n"
 
 
+def test_verify_refuses_samples_over_budget(capsys, monkeypatch):
+    def no_suites(*args, **kwargs):
+        raise AssertionError("run_suites called on refused input")
+
+    monkeypatch.setattr(cli.verify, "run_suites", no_suites)
+    over = cli.VERIFY_MAX_SAMPLES + 1
+    code, out, err = run(capsys, "verify", "--suite", "sampler", "--samples", str(over))
+    assert code == 2
+    assert out == ""
+    assert err == f"abeliand: error: verify serves --samples <= {cli.VERIFY_MAX_SAMPLES}, got --samples={over}\n"
+
+
 def test_verify_usage_error_on_bad_suite():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "bogus"])  # argparse rejects unknown choice

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 from fractions import Fraction
 from unittest import mock
 
@@ -209,6 +211,35 @@ def test_count_vector_digests(N, alpha, M, seed, digest):
     assert hashlib.sha256(counts.encode()).hexdigest() == digest
 
 
+@pytest.fixture
+def fast_switching():
+    """A short interpreter switch interval, so threads interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pieces_do_not_change_the_draws(monkeypatch, fast_switching):
+    """One, three and eight workers (more than the cores) split each chunk
+    differently and must give the same counts."""
+    threads = threading.active_count()
+    params = Params.stable(50, alpha=0.9)
+    results = []
+    for workers in (1, 3, 8):
+        monkeypatch.setattr(sampler, "_workers", lambda: workers)
+        results.append([monte_carlo(params, M, 9) for M in (1, 2, CHUNK + 77, 2 * CHUNK)])
+        for N, alpha, M, seed, digest in STREAM_DIGESTS:
+            stats = monte_carlo(Params.stable(N, alpha=alpha), M, seed)
+            counts = ",".join(str(stats.empirical_pmf.get(b, 0)) for b in range(N + 1))
+            assert hashlib.sha256(counts.encode()).hexdigest() == digest, (workers, N)
+        # the pool's threads are joined before monte_carlo returns
+        assert threading.active_count() == threads
+    assert results[0] == results[1] == results[2]
+
+
 class _RowFeed:
     """Stub generator: hands out crafted rows, records each request size."""
 
@@ -261,15 +292,15 @@ def _edge_rows(params, count, seed):
     ],
 )
 def test_draw_chunk_on_threshold_edges(monkeypatch, N, p):
-    monkeypatch.setattr(sampler, "BLOCK", 64)
+    monkeypatch.setattr(sampler, "MAX_BLOCK", 64)
     params = Params.stable(N, p=p)
     rows = _edge_rows(params, 150, seed=N)
     feed = _RowFeed(rows)
     s = sampler._draw_chunk(params, feed, len(rows))
     assert s.tolist() == [epsilon_sequence(params, row).S for row in rows]
     assert feed.used == len(rows)
-    # the memory bound: no request exceeds one block (one row if N is larger)
-    assert max(feed.sizes) <= max(64, N)
+    # the memory bound: no request exceeds MAX_BLOCK (one row if N is larger)
+    assert max(feed.sizes) <= max(sampler.MAX_BLOCK, N)
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,7 +314,7 @@ def test_draw_chunk_matches_reference_trace(N, log_alpha, seed, m):
     params = Params.stable(N, alpha=min(math.exp(log_alpha), 0.999999))
     # 64-uniform blocks: every example reads its chunk in several blocks,
     # which must join up into the one (m, N) row-major read below
-    with mock.patch.object(sampler, "BLOCK", 64):
+    with mock.patch.object(sampler, "MAX_BLOCK", 64):
         s = sampler._draw_chunk(params, substream(seed, 0), m)
     rows = substream(seed, 0).random((m, N))
     assert s.tolist() == [epsilon_sequence(params, row).S for row in rows]
@@ -331,3 +362,23 @@ def test_stream_reference_replays_a_pinned_count_vector():
     for i in range(0, M * N, N):
         counts[epsilon_sequence(params, us[i : i + N]).S] += 1
     assert hashlib.sha256(",".join(map(str, counts)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2**32 + 3, 65535 * 10**6])
+@pytest.mark.parametrize("seed, k", [(42, 0), (2024, 3)])
+def test_advance_matches_stream_reference(seed, k, delta):
+    # 65535 * 10^6: the offset of a chunk's last row at N = 10^6
+    rng = substream(seed, k)
+    rng.bit_generator.advance(delta)
+    ref = stream_reference.substream(seed, k)
+    ref.advance(delta)
+    assert rng.random(1000).tolist() == ref.random(1000)
+
+
+@pytest.mark.parametrize("N, m, a", [(1, 100, 37), (7, 1000, 999), (13, 500, 0), (1000, 300, 150)])
+def test_advanced_rows_match_the_whole_chunk_read(N, m, a):
+    # one 64-bit output per double: rows a .. m - 1 of a chunk start a*N
+    # outputs into its stream
+    rng = substream(5, 2)
+    rng.bit_generator.advance(a * N)
+    assert np.array_equal(rng.random((m - a, N)), substream(5, 2).random((m, N))[a:])
