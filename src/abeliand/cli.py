@@ -71,7 +71,7 @@ MOMENTS_MAX_ND = 100_000
 
 # Largest N, and largest N*M (uniforms drawn), that `sample` serves, from
 # measurements on the same VM, end to end at alpha = 0.9 and N*M = 10^8, the
-# sampler on two threads: 48-51 M uniforms/s at N = 10, 74 M at N = 100,
+# sampler on two threads: 48-51 M uniforms/s at N = 10, 81-97 M at N = 100,
 # 133-164 M at N = 1000, 103 M at N = 10^4 and 130 M at N = 10^6, and 16-17 M
 # draws/s at N = 1.  At the N*M cap N = 1000 takes 4.1 s and N = 1 57 s.  Each
 # thread holds one row of N = 10^6 uniforms and its temporaries: the run peaks

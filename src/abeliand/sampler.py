@@ -60,13 +60,15 @@ CHUNK = 1 << 16
 # The row blocks of _draw_chunk (see the module doc).  Twelve passes over the
 # four benchmark points (N = 10 to 1000) in one process on a 2-vCPU VM, median
 # pass, three processes each: one thread reading BLOCK uniforms a block took
-# 0.77-1.10 s and peaked at 38.8-38.9 MB RSS; two workers reading BLOCK // 2
-# each took 1.03-1.05 s, since at N = 100 and 1000 a block then holds 327 and
-# 32 rows, too few for the pieces to overlap; MIN_ROWS = 512 brought it to
-# 0.61-0.74 s at 40.1-40.4 MB.  MIN_ROWS = 1024 peaked at up to 43.2 MB, and
-# MAX_BLOCK = 2^18 at 42.6 MB for 0.62-0.65 s.
+# 1.23-1.27 s and peaked at 38.7-38.8 MB RSS; MIN_ROWS = 1024 took 0.72-0.77 s
+# at 41.3-43.7 MB, and 512 0.78-0.81 s at 40.4-40.5 MB.  Without the floor
+# two workers were slower than one thread (1.03-1.05 s against 0.77-1.10 s in
+# an earlier set of runs): a block then holds 327 rows at N = 100 and 32 at
+# N = 1000, too few for the pieces to overlap.  MAX_BLOCK = 2^18 took
+# 0.67-0.75 s at 42.2-42.3 MB in process, but raised the benchmark's sampler
+# peak by 9-16%.
 BLOCK = 1 << 16
-MIN_ROWS = 512
+MIN_ROWS = 1024
 MAX_BLOCK = 1 << 17
 # _draw_chunk screens rows first at width K = FIRST_WIDTH, then at 4K, while
 # K*p, the share of uniforms a screen keeps, is at most SCREEN_CUT.  Best of 7

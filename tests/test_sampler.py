@@ -204,11 +204,15 @@ STREAM_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("N, alpha, M, seed, digest", STREAM_DIGESTS)
-def test_count_vector_digests(N, alpha, M, seed, digest):
+def _count_digest(N, alpha, M, seed):
     stats = monte_carlo(Params.stable(N, alpha=alpha), M, seed)
     counts = ",".join(str(stats.empirical_pmf.get(b, 0)) for b in range(N + 1))
-    assert hashlib.sha256(counts.encode()).hexdigest() == digest
+    return hashlib.sha256(counts.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("N, alpha, M, seed, digest", STREAM_DIGESTS)
+def test_count_vector_digests(N, alpha, M, seed, digest):
+    assert _count_digest(N, alpha, M, seed) == digest
 
 
 @pytest.fixture
@@ -231,10 +235,8 @@ def test_pieces_do_not_change_the_draws(monkeypatch, fast_switching):
     for workers in (1, 3, 8):
         monkeypatch.setattr(sampler, "_workers", lambda: workers)
         results.append([monte_carlo(params, M, 9) for M in (1, 2, CHUNK + 77, 2 * CHUNK)])
-        for N, alpha, M, seed, digest in STREAM_DIGESTS:
-            stats = monte_carlo(Params.stable(N, alpha=alpha), M, seed)
-            counts = ",".join(str(stats.empirical_pmf.get(b, 0)) for b in range(N + 1))
-            assert hashlib.sha256(counts.encode()).hexdigest() == digest, (workers, N)
+        for *row, digest in STREAM_DIGESTS:
+            assert _count_digest(*row) == digest, (workers, row)
         # the pool's threads are joined before monte_carlo returns
         assert threading.active_count() == threads
     assert results[0] == results[1] == results[2]
