@@ -72,27 +72,14 @@ MOMENTS_MAX_ND = 100_000
 # Largest N, and largest N*M (uniforms drawn), that `sample` serves, from
 # measurements on the same VM, end to end at alpha = 0.9 and N*M = 10^8, the
 # sampler on two threads: 48-51 M uniforms/s at N = 10, 81-97 M at N = 100,
-# 133-164 M at N = 1000, 103 M at N = 10^4 and 130 M at N = 10^6, and 16-17 M
-# draws/s at N = 1.  At the N*M cap N = 1000 takes 4.1 s and N = 1 57 s.  Each
-# thread holds one row of N = 10^6 uniforms and its temporaries: the run peaks
-# at 98 MB RSS, growing linearly in N.
+# 133-164 M at N = 1000 and 103 M at N = 10^4, and 16-17 M draws/s at N = 1;
+# 116-135 M at N = 10^6, where a row is longer than sampler.MAX_BLOCK and the
+# sampler runs on one thread.  At the N*M cap N = 1000 takes 4.1 s and N = 1
+# 57 s.  The run at N = 10^6 holds one row and its temporaries and peaks at
+# 75 MB RSS, growing linearly in N.  Its exact_mean takes 9-14 ms near
+# alpha = 1, at any length of d.
 SAMPLE_MAX_N = 10**6
 SAMPLE_MAX_UNIFORMS = 10**9
-
-# Largest K*D that `sample` serves for its exact_mean, the float of the exact
-# Avalanche mean that dist.rounded_avalanche_mean takes from a prefix of the
-# series: its K terms, up to its stop, over d^k grow to about K*D digits, D the
-# decimal digits of d in p = a/d, and each step works on integers that long.
-# K is estimated from the float terms (N)_k p^k; over 60 points with N from 1
-# to 10^6 it was short of the true count by at most 3 terms where K < 100 and
-# by at most 3.4% above.  In process on a 2-vCPU VM, N = 10^6 takes 0.5 s at
-# alpha = 0.999999 (K = 9256, D = 13, K*D = 1.2e5) and 0.7 s at alpha =
-# 0.99999999 (K*D = 1.47e5), the slowest point measured that is admitted.
-# Refused: N = 300 with D = 1003 (K*D = 1.7e5) would take 0.04 s, N = 10^6
-# at alpha = 0.99999999991234567891234 (K*D = 3.0e5) 2.9 s and N = 10^4 with
-# D = 1001 (K*D = 1.0e6) 15 s.  An N*D budget would refuse N = 10^6 at
-# alpha = 0.5, where K = 55.
-SAMPLE_MEAN_MAX_KD = 150_000
 
 # Largest --max-n that `verify` serves, the one size budget of the brute-force
 # oracles.  The exact pmf and moments sweeps grow about as N^2.4: in process on
@@ -205,39 +192,21 @@ def _decimal_digits(n: int) -> int:
     return digits
 
 
+def _check_budget(command: str, quantity: str, value: int, budget: int, gloss: str = "") -> None:
+    """Refuse a value over its budget, before any work, with the one message shape."""
+    if value > budget:
+        raise ValueError(f"{command} serves {quantity} <= {budget}{gloss}, got {quantity}={value}")
+
+
 def _check_exact_size(command: str, params: Params, budget: int) -> None:
     """Refuse exact params whose N * (decimal digits of d), p = a/d, is over budget."""
-    if not params.is_exact:
-        return
-    nd = params.N * _decimal_digits(params.p.denominator)
-    if nd > budget:
-        raise ValueError(f"{command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}")
-
-
-def _check_mean_prefix(params: Params, D: int) -> None:
-    """Refuse when rounded_avalanche_mean's prefix would pass K*D > SAMPLE_MEAN_MAX_KD.
-
-    K is the first k at which the float terms t_k = (N)_k p^k meet its stop:
-    the tail bound t_k alpha/(1-alpha) at most 2^-53 times the partial sum.
-    """
-    N, p, alpha = params.N, params.p, params.alpha
-    total, t = 0.0, 1.0
-    for k in range(1, N + 1):
-        t *= (N - k + 1) * p
-        total += t
-        if t * alpha / (1 - alpha) <= total * 2.0**-53:
-            break
-    if k * D > SAMPLE_MEAN_MAX_KD:
-        raise ValueError(
-            f"sample serves K*D <= {SAMPLE_MEAN_MAX_KD}, K the exact mean's series terms "
-            f"and D the digits of d in p = a/d, got K*D={k * D}"
-        )
+    if params.is_exact:
+        nd = params.N * _decimal_digits(params.p.denominator)
+        _check_budget(f"{command} --mode exact", "N*D", nd, budget, ", D the digits of d in p = a/d")
 
 
 def run_pmf(args) -> int:
-    budget = PMF_MAX_N[args.mode]
-    if args.N > budget:
-        raise ValueError(f"pmf --mode {args.mode} serves N <= {budget}, got N={args.N}")
+    _check_budget(f"pmf --mode {args.mode}", "N", args.N, PMF_MAX_N[args.mode])
     _, params = _build_params(args, args.mode)
     _check_exact_size("pmf", params, PMF_MAX_ND)
     table = dist.pmf_table(args.family, params)
@@ -257,9 +226,8 @@ def run_pmf(args) -> int:
 
 
 def run_moments(args) -> int:
-    budget = PMF_MAX_N["float"]
-    if args.mode == "float" and args.N > budget:
-        raise ValueError(f"moments --family {args.family} --mode float serves N <= {budget}, got N={args.N}")
+    if args.mode == "float":
+        _check_budget(f"moments --family {args.family} --mode float", "N", args.N, PMF_MAX_N["float"])
     _, params = _build_params(args, args.mode)
     _check_exact_size("moments", params, MOMENTS_MAX_ND)
     m = dist.moments(args.family, params)
@@ -281,9 +249,7 @@ def run_limit(args) -> int:
     alpha = _parse_ratio(args.alpha)
     if not 0 < alpha < 1:  # before float(), which overflows on 1e400
         raise ValueError("alpha must lie in (0, 1)")
-    budget = PMF_MAX_N["float"]
-    if max(args.N) > budget:
-        raise ValueError(f"limit serves N <= {budget}, got N={max(args.N)}")
+    _check_budget("limit", "N", max(args.N), PMF_MAX_N["float"])
     rows = dist.convergence_table(float(alpha), args.N)
     columns = ["N", "variance", "limit", "abs_error"]
     out = []
@@ -299,11 +265,8 @@ def run_limit(args) -> int:
 def run_sample(args) -> int:
     exact, params = _build_params(args, "float")
     seed = _resolve_seed(args.seed)
-    if args.N > SAMPLE_MAX_N:
-        raise ValueError(f"sample serves N <= {SAMPLE_MAX_N}, got N={args.N}")
-    if args.N * args.M > SAMPLE_MAX_UNIFORMS:
-        raise ValueError(f"sample serves N*M <= {SAMPLE_MAX_UNIFORMS}, got N*M={args.N * args.M}")
-    _check_mean_prefix(params, _decimal_digits(exact.p.denominator))
+    _check_budget("sample", "N", args.N, SAMPLE_MAX_N)
+    _check_budget("sample", "N*M", args.N * args.M, SAMPLE_MAX_UNIFORMS)
     stats = sampler.monte_carlo(params, args.M, seed)
     payload = {
         "family": "avalanche",
@@ -326,10 +289,8 @@ def run_verify(args) -> int:
     for flag, value in (("--max-n", args.max_n), ("--samples", args.samples)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    if args.max_n > VERIFY_MAX_N:
-        raise ValueError(f"verify serves --max-n <= {VERIFY_MAX_N}, got --max-n={args.max_n}")
-    if args.samples > VERIFY_MAX_SAMPLES:
-        raise ValueError(f"verify serves --samples <= {VERIFY_MAX_SAMPLES}, got --samples={args.samples}")
+    _check_budget("verify", "--max-n", args.max_n, VERIFY_MAX_N)
+    _check_budget("verify", "--samples", args.samples, VERIFY_MAX_SAMPLES)
     seed = _resolve_seed(args.seed)
     names = args.suite if args.suite else None
     results = verify.run_suites(names, max_n=args.max_n, samples=args.samples, seed=seed)

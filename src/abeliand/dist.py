@@ -35,9 +35,10 @@ running product of the terms (n)_i p^i, one compensated fsum each; the
 bracket switches to the J-term tail form for large N, where it cancels
 catastrophically.  Exact mode builds the same series from one integer
 generator of its partial sums and terms over d^k: the mean and bracket take
-its last partial sum, E(X^2) weights its terms, and rounded_avalanche_mean
-stops on a prefix.  J1 and the closed form of J3 are written once, for the
-float tail and the exact J-term rewrite alike.
+its last partial sum and E(X^2) weights its terms.  rounded_avalanche_mean
+brackets a prefix of the mean's series in F-bit fixed point, at a cost that
+does not grow with the length of d.  J1 and the closed form of J3 are
+written once, for the float tail and the exact J-term rewrite alike.
 The exact rewrite evaluates the Stirling-row polynomials P_i(N) by integer
 Horner, and J2, J4, J5 and J6 each as one Horner evaluation in p.
 
@@ -483,44 +484,66 @@ def avalanche_mean(params: Params) -> Number:
     return math.fsum(_falling_powers(params.N, params.p))
 
 
-def rounded_avalanche_mean(params: Params) -> float:
-    """float(avalanche_mean(params)) for exact params, from a prefix of the series.
+def _mean_bracket(N: int, a: int, d: int, F: int) -> tuple[int, int]:
+    """Integers lo <= E(X) * 2^F <= hi for p = a/d, from a prefix of the series at F bits."""
+    # With u = 2^F, P = floor(a*u/d) <= p*u < P + 1.  The running products
+    # lo_k = floor(lo_(k-1) (N-k+1) P / u) and hi_k = ceil(hi_(k-1) (N-k+1) (P+1) / u),
+    # both u at k = 0, bracket u*t_k, t_k = (N)_k p^k: by induction
+    # u*t_k = u*t_(k-1) (N-k+1) p lies between the unrounded products, and
+    # the floor and the ceiling only widen that.  After step K the terms fall
+    # by a factor (N-k)p <= r = (N-K)p each, so they sum to at most
+    # t_K r/(1-r), which is at most hi_K c/(u - c) units for c = (N-K)(P+1)
+    # as long as c < u.  The loop stops once that is at most N units, or at
+    # K = N with no tail, and hi adds its ceiling: the ceiling holds hi_K
+    # near 1/(1-r) units, so a bound of one unit might never be met.  The
+    # test passes only if c < u, that is r < 1.  At 2^F > N^2 this holds
+    # for every K >= 1, as P + 1 < u/N + 1 gives c < (N-1)(u/N + 1) <= u, so
+    # the loop waits only for hi_K to fall.
+    u = 1 << F
+    P = (a << F) // d
+    lo = hi = u
+    lo_sum = hi_sum = 0
+    for m in range(N, 0, -1):  # m = N-k+1 at step k
+        lo = lo * m * P >> F
+        hi = -(-hi * m * (P + 1) >> F)
+        lo_sum += lo
+        hi_sum += hi
+        c = (m - 1) * (P + 1)
+        if hi * c <= N * (u - c):
+            break
+    return lo_sum, hi_sum - (-hi * c // (u - c))
 
-    The terms t_k = (N)_k p^k fall by a factor (N-k)p < alpha each, so the
-    terms after t_k sum to less than t_k * alpha/(1-alpha).  Once the
-    partial sum S_k and S_k plus that bound round to the same float, the
-    whole sum rounds to it too.  Int / int is correctly rounded, as
-    float(Fraction) is, so the result is the same float at any N.  The
-    test costs two big-integer divisions, so a bit-length screen skips it
-    while the bound is above 2^-50 times S_k, where it cannot pass; if no
-    test passes, the result is the float of the whole sum.
+
+def rounded_avalanche_mean(params: Params) -> float:
+    """float(avalanche_mean(params)) for exact params, by Ziv's rule in fixed point.
+
+    _mean_bracket gives lo/2^F <= E(X) <= hi/2^F.  Int / int is correctly
+    rounded, as float(Fraction) is, and rounding is monotone, so if the two
+    ends round to the same float every real between them does, E(X)
+    included; otherwise F doubles.  F starts at 64 + 2*bitlen(N) +
+    bitlen(d) - bitlen(a), where P has at least 63 + 2*bitlen(N) bits and
+    2^F > N^2, so the ends agree to about 2^-60 relative whatever p is, and
+    the cost is O(K) steps on integers of about 2F bits at any length of d.
     """
     if not params.is_exact:
         raise ValueError("rounded_avalanche_mean requires exact-mode params")
     N, a, d = params.N, params.p.numerator, params.p.denominator
-    rest = d - N * a  # (1 - alpha) * d
-    # S_k = s / d^k and t_k = t / d^k; the tail bound is T / (d^k * rest)
-    # with T = t*N*a, and S_k = U / (d^k * rest) with U = s*rest.  As
-    # 2^(n-1) <= x < 2^n for n = x.bit_length(), the screen below,
-    # t_bits + na_bits >= s_bits + rest_bits - 48, gives
-    # T / U > 2^(t_bits + na_bits - 2 - s_bits - rest_bits) >= 2^-50.  With
-    # 2^e <= S_k < 2^(e+1), the bound is then above 2^(e-50), four ulps of
-    # S_k's binade, while the reals that round to one float span one ulp, or
-    # 1.5 at a power of two, so a screened test would fail: the loop stops
-    # at the same k.  A test that runs has T / U < 2^-47, so S_k plus
-    # the bound cannot overflow.  In the subnormal range a passing test may
-    # be skipped; a later stop or the whole sum gives the same float.
-    na = N * a
-    cut = rest.bit_length() - na.bit_length() - 48
-    dk = 1
-    for s, t in _falling_power_series(N, a, d):
-        dk *= d
-        if t.bit_length() >= s.bit_length() + cut:
-            continue
-        mean = s / dk
-        if mean == (s * rest + t * na) / (dk * rest):
+    n = N.bit_length()
+    F = 64 + 2 * n + d.bit_length() - a.bit_length()
+    while True:
+        lo, hi = _mean_bracket(N, a, d, F)
+        if (mean := lo / (1 << F)) == hi / (1 << F):
             return mean
-    return s / dk
+        # E(X) = s/d^N >= 1/d, and the midpoints between floats that can
+        # bound its rounding are multiples of 2^-(bitlen(d) + 54), so E(X) is
+        # a midpoint or at least 2^-((N+1) bitlen(d) + 54) from each.  The
+        # bracket is narrower: step k's ends differ by under 3k(t_k/p + 1)
+        # units, under 8 N^2 d units in all as E(X) <= N and 1/p <= d.  So
+        # past this F only an exact tie, which needs a dyadic p, fails, and
+        # the exact sum rounds it.
+        if F >= (N + 2) * d.bit_length() + 2 * n + 57:
+            return float(avalanche_mean(params))
+        F *= 2
 
 
 def abelian_second_moment(params: Params) -> Number:

@@ -16,7 +16,8 @@ of how chunks are scheduled or merged.  tests/stream_reference.py replays
 that stream in pure Python, bit for bit.
 
 Each chunk is drawn in pieces, one contiguous run of its rows per worker
-thread; the workers are the CPUs the process may run on.  A piece starting
+thread; the workers are the CPUs the process may run on, or one thread when
+a row is longer than MAX_BLOCK uniforms, so that such a run holds one row.  A piece starting
 at row a builds the chunk's generator and advances it by a*N outputs (PCG64
 jumps ahead in O(log a*N) steps).  random() turns one 64-bit output into one
 double, so the piece reads exactly rows a, a + 1, ... of the chunk's
@@ -27,8 +28,9 @@ lock: the fill of the uniforms and the passes over whole blocks.
 The kernel reads each piece in row blocks, so its memory is bounded per
 worker, not per chunk.  A worker's block holds BLOCK // workers uniforms, so
 that the workers together hold about BLOCK, but at least MIN_ROWS rows as
-long as they fit in MAX_BLOCK uniforms: at most MAX_BLOCK uniforms (1 MiB),
-or one row if N is larger, with temporaries of a few times that.  The row
+long as they fit in MAX_BLOCK uniforms: at most MAX_BLOCK uniforms (1 MiB)
+a worker, or one row in all if N is larger, with temporaries of a few times
+that.  The row
 floor keeps the screen's arrays, about K*p*N uniforms a row, long enough for
 their passes to run outside the lock.
 
@@ -233,7 +235,7 @@ def monte_carlo(params: Params, M: int, seed: int) -> SampleStats:
     from concurrent.futures import ThreadPoolExecutor
 
     N = params.N
-    workers = _workers()
+    workers = _workers() if N <= MAX_BLOCK else 1
 
     def piece(k, lo, hi):  # rows lo .. hi - 1 of chunk k
         rng = substream(seed, k)

@@ -251,34 +251,28 @@ def test_sample_refuses_work_over_budget(capsys, monkeypatch, N, M, message):
 LONG_ALPHA = "0.9999999999" + "1" * 990  # D = 1005 digits in d at N = 10^4
 
 
-def test_sample_refuses_a_long_exact_mean(capsys, monkeypatch):
-    # rounded_avalanche_mean's prefix at this point is 1032 terms whose
-    # integers reach 10^6 digits: the run did not finish in 30 s unrefused
-    def no_work(*args):
-        raise AssertionError("sampling or exact work started on refused input")
-
-    monkeypatch.setattr(cli.sampler, "monte_carlo", no_work)
-    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", no_work)
-    code, out, err = run(capsys, "sample", "--N", "10000", "--alpha", LONG_ALPHA, "--M", "1")
-    assert code == 2
-    assert out == ""
-    assert err == (
-        f"abeliand: error: sample serves K*D <= {cli.SAMPLE_MEAN_MAX_KD}, K the exact mean's "
-        "series terms and D the digits of d in p = a/d, got K*D=1037160\n"
-    )
+def test_sample_serves_a_long_exact_mean(capsys):
+    # the mean's prefix runs about 1000 terms, whose exact integers over d^k
+    # would reach 10^6 digits; in fixed point it takes about 1.4 ms
+    code, out, _ = run(capsys, "sample", "--N", "10000", "--alpha", LONG_ALPHA, "--M", "1")
+    assert code == 0
+    assert json.loads(out)["exact_mean"] == 124.99912097919228
 
 
-@pytest.mark.parametrize("alpha", ["0.999999", "0.99999999"])
-def test_sample_mean_budget_admits_n_1e6_near_alpha_one(capsys, monkeypatch, alpha):
-    # K*D = 120328 and 146775: 2.0 s and 3.3 s of exact mean unpatched
+@pytest.mark.parametrize(
+    "alpha, exact_mean",
+    [("0.999999", 1251.9815340534983), ("0.99999999", 1252.9709084579852)],
+    ids=["0.999999", "0.99999999"],
+)
+def test_sample_exact_mean_at_n_1e6_near_alpha_one(capsys, monkeypatch, alpha, exact_mean):
+    # about 15 ms of exact mean each, in fixed point; 60-digit mpmath agrees
     def fake_sampling(params, M, seed):
         return sampler.SampleStats(M, seed, 0.0, 0.0, {0: M}, 0.0)
 
     monkeypatch.setattr(cli.sampler, "monte_carlo", fake_sampling)
-    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", lambda params: 0.0)
     code, out, _ = run(capsys, "sample", "--N", "1000000", "--alpha", alpha, "--M", "1")
     assert code == 0
-    assert json.loads(out)["M"] == 1
+    assert json.loads(out)["exact_mean"] == exact_mean
 
 
 @pytest.mark.parametrize("N, M", [(1000, 10**6), (10**6, 1000), (1, 10**9)])

@@ -4,6 +4,7 @@ import hashlib
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from abeliand.dist import (
     FAMILIES,
     Params,
+    _mean_bracket,
     abelian_second_moment,
     avalanche_mean,
     j_decomposition,
@@ -305,30 +307,79 @@ def test_rounded_avalanche_mean_is_the_float_of_the_exact_mean(params, heavy):
     assert rounded_avalanche_mean(params) == float(avalanche_mean(params))
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 10, 300])
-@pytest.mark.parametrize(
-    "alpha",
-    [
-        Fraction(1, 2),
-        1 - Fraction(1, 10**400),
-        Fraction(1, 10**300),
-        Fraction(10**1002 + 1, 2 * 10**1002),
-    ],
-    ids=["half", "one-minus-1e-400", "1e-300", "half-D1003"],
-)
-def test_rounded_avalanche_mean_on_a_grid(N, alpha):
-    """The screened stop gives the float of the exact mean, tail bounds up to 1e400 included.
+@st.composite
+def bracket_inputs(draw):
+    """N <= 60, p = a/d with d up to 10^300, and a forced F of 8 to 64 bits."""
+    N = draw(st.integers(1, 60))
+    d = draw(st.integers(N + 1, 10 ** draw(st.integers(2, 300))))
+    a = draw(st.integers(1, (d - 1) // N))
+    return N, a, d, draw(st.integers(8, 64))
 
-    The exact reference takes up to about 0.9 s (N = 300, D = 1003 digits),
-    at the long prefixes the screen is for.
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=bracket_inputs())
+def test_mean_bracket_holds_the_exact_series(inputs):
+    """The fixed-point pass's integer ends hold 2^F times the exact mean at any F."""
+    N, a, d, F = inputs
+    params = Params.exact(N, p=Fraction(a, d))
+    lo, hi = _mean_bracket(N, a, d, F)
+    assert lo <= avalanche_mean(params) * 2**F <= hi
+    assert rounded_avalanche_mean(params) == float(avalanche_mean(params))
+
+
+def mpmath_avalanche_mean(N, alpha):
+    """float of the Avalanche mean summed in 60-digit mpmath, tail bounded."""
+    with mpmath.workdps(60):
+        p = mpmath.mpf(alpha.numerator) / alpha.denominator / N
+        total, t = mpmath.mpf(0), mpmath.mpf(1)
+        for m in range(N, 0, -1):
+            t *= m * p
+            total += t
+            r = (m - 1) * p  # the tail after this term is below t r/(1 - r)
+            if t * r / (1 - r) < total * mpmath.mpf(10) ** -55:
+                break
+        return float(total)
+
+
+# A 54-bit dyadic midpoint at N = 1 and 2: the exact mean lies halfway
+# between two floats, where no bracket decides and the exact sum rounds it.
+TIE_1 = Fraction(2**53 + 1, 2**55)
+TIE_2 = 2 * Fraction(67108863, 2**27)  # alpha; the mean is 13510798613676033/2^53
+
+ROUNDED_MEAN_GRID = [
+    *(
+        pytest.param(N, alpha, id=f"{name}-{N}")
+        for name, alpha in [
+            ("half", Fraction(1, 2)),
+            ("one-minus-1e-400", 1 - Fraction(1, 10**400)),
+            ("1e-300", Fraction(1, 10**300)),
+            ("half-D1003", Fraction(10**1002 + 1, 2 * 10**1002)),
+            ("one-minus-2^-60", 1 - Fraction(1, 2**60)),
+        ]
+        for N in (1, 2, 3, 10, 300)
+    ),
+    pytest.param(1, TIE_1, id="dyadic-tie-1"),
+    pytest.param(2, TIE_2, id="dyadic-tie-2"),
+    pytest.param(10**6, Fraction(1, 10**300), id="1e-300-1000000"),
+    pytest.param(10**6, Fraction(999999, 10**6), id="0.999999-1000000"),
+]
+
+
+@pytest.mark.parametrize("N, alpha", ROUNDED_MEAN_GRID)
+def test_rounded_avalanche_mean_on_a_grid(N, alpha):
+    """The fixed-point rule gives the float of the exact mean, tail bounds up to 1e400 included.
+
+    The exact reference takes up to about 0.9 s (N = 300, D = 1003 digits);
+    at N = 10^6, where it is unaffordable, 60-digit mpmath stands in.
     """
     params = Params.exact(N, alpha=alpha)
-    assert rounded_avalanche_mean(params) == float(avalanche_mean(params))
+    expected = float(avalanche_mean(params)) if N <= 300 else mpmath_avalanche_mean(N, alpha)
+    assert rounded_avalanche_mean(params) == expected
 
 
 def test_rounded_avalanche_mean_does_not_overflow_on_its_tail_bound():
     # The tail bound alpha/(1-alpha) is about 1e400 here, past the float
-    # range, so no stop test may divide it out while it is that large.
+    # range; the fixed-point bracket holds it in integers.
     assert rounded_avalanche_mean(Params.exact(2, alpha=1 - Fraction(1, 10**400))) == 1.5
 
 

@@ -242,6 +242,30 @@ def test_pieces_do_not_change_the_draws(monkeypatch, fast_switching):
     assert results[0] == results[1] == results[2]
 
 
+def test_rows_longer_than_max_block_take_one_worker(monkeypatch):
+    """Past MAX_BLOCK uniforms a row, each chunk is one piece on one worker,
+    so the run holds one row, not one per CPU; the draws do not change.
+    About 1 s: at 64 uniforms a block the digest rows are read a row or a
+    few at a time."""
+    monkeypatch.setattr(sampler, "_workers", lambda: 8)
+    monkeypatch.setattr(sampler, "MAX_BLOCK", 64)
+    calls = []
+    draw_chunk = sampler._draw_chunk
+
+    def counting(params, rng, m):
+        calls.append(m)
+        return draw_chunk(params, rng, m)
+
+    monkeypatch.setattr(sampler, "_draw_chunk", counting)
+    monte_carlo(Params.stable(100, alpha=0.9), 1000, 3)
+    assert calls == [1000]
+    calls.clear()
+    monte_carlo(Params.stable(50, alpha=0.9), 1000, 3)  # rows within MAX_BLOCK
+    assert calls == [125] * 8
+    for *row, digest in STREAM_DIGESTS:
+        assert _count_digest(*row) == digest, row
+
+
 class _RowFeed:
     """Stub generator: hands out crafted rows, records each request size."""
 
