@@ -494,11 +494,11 @@ def _mean_bracket(N: int, a: int, d: int, F: int) -> tuple[int, int]:
     # by a factor (N-k)p <= r = (N-K)p each, so they sum to at most
     # t_K r/(1-r), which is at most hi_K c/(u - c) units for c = (N-K)(P+1)
     # as long as c < u.  The loop stops once that is at most N units, or at
-    # K = N with no tail, and hi adds its ceiling: the ceiling holds hi_K
-    # near 1/(1-r) units, so a bound of one unit might never be met.  The
-    # test passes only if c < u, that is r < 1.  At 2^F > N^2 this holds
-    # for every K >= 1, as P + 1 < u/N + 1 gives c < (N-1)(u/N + 1) <= u, so
-    # the loop waits only for hi_K to fall.
+    # K = N with no tail, and the upper end adds its ceiling.  (The ceiling
+    # holds hi_K near 1/(1-r) units, so a bound of one unit might never be
+    # met.)  The stop test passes only if c < u, that is r < 1.  At
+    # 2^F > N^2 this holds for every K >= 1, as P + 1 < u/N + 1 gives
+    # c < (N-1)(u/N + 1) <= u, so the loop waits only for hi_K to fall.
     u = 1 << F
     P = (a << F) // d
     lo = hi = u

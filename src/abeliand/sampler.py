@@ -17,12 +17,12 @@ that stream in pure Python, bit for bit.
 
 Each chunk is drawn in pieces, one contiguous run of its rows per worker
 thread; the workers are the CPUs the process may run on, or one thread when
-a row is longer than MAX_BLOCK uniforms, so that such a run holds one row.  A piece starting
-at row a builds the chunk's generator and advances it by a*N outputs (PCG64
-jumps ahead in O(log a*N) steps).  random() turns one 64-bit output into one
-double, so the piece reads exactly rows a, a + 1, ... of the chunk's
-row-major stream, and the pieces' counts add up to the chunk's whatever the
-number of workers.  The pieces overlap where numpy releases the interpreter
+a row is longer than MAX_BLOCK uniforms, so that such a run holds one row.
+A piece starting at row a builds the chunk's generator and advances it by
+a*N outputs (PCG64 jumps ahead in O(log a*N) steps).  random() turns one
+64-bit output into one double, so the piece reads exactly rows a, a + 1, ...
+of the chunk's row-major stream, and the pieces' counts add up to the
+chunk's whatever the number of workers.  The pieces overlap where numpy releases the interpreter
 lock: the fill of the uniforms and the passes over whole blocks.
 
 The kernel reads each piece in row blocks, so its memory is bounded per
@@ -30,9 +30,8 @@ worker, not per chunk.  A worker's block holds BLOCK // workers uniforms, so
 that the workers together hold about BLOCK, but at least MIN_ROWS rows as
 long as they fit in MAX_BLOCK uniforms: at most MAX_BLOCK uniforms (1 MiB)
 a worker, or one row in all if N is larger, with temporaries of a few times
-that.  The row
-floor keeps the screen's arrays, about K*p*N uniforms a row, long enough for
-their passes to run outside the lock.
+that.  The row floor keeps the screen's arrays, about K*p*N uniforms a row,
+long enough for their passes to run outside the lock.
 
 The kernel counts on the loop's own float thresholds, so every draw equals
 epsilon_sequence's, but it works only on the uniforms that can end a row's
