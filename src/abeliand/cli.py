@@ -2,6 +2,12 @@
 and the verification suites.  CSV/JSON go to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/parameter error.
+An input refused for its cost exits 2 before any work, on one of two
+limits: float mode serves N <= FLOAT_MAX_N, and each command predicts its
+time from the counts on its command line at the per-unit RATES and refuses
+a prediction over MAX_SECONDS, so an admitted command finishes within about
+MAX_SECONDS on the reference VM.
+
 The default RNG seed is 42; `--seed` wins over the ABELIAND_SEED
 environment variable, which wins over the default.
 """
@@ -12,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -32,68 +39,33 @@ _MAX_FAILURES_SHOWN = 20
 # and 64 exact rows at N = 2000 (~7000-digit integers) hold about 1 MB.
 _JSON_BATCH = 64
 
-# Largest N that `pmf` serves in each mode, from measurements on a 2-core
-# VM (Python 3.11): the exact Abelian table at alpha = 1/2 takes 0.06-0.09 s
-# at N = 1000, 0.3-0.6 s at N = 2000 and 2.5-2.9 s at N = 4000 (31, 40 and
-# 79 MB).  Exact `pmf` end to end takes 0.9 s at N = 1000 and 4.6 s at
-# N = 2000, of which 2.5 s is the decimal conversion of its ~7000-digit
-# integers, which grows with the square of their length: the conversion,
-# not the table, is most of the run.  Float `pmf` at N = 10^6 and
-# alpha = 0.5 takes 1.3-1.8 s end to end in CSV or JSON and peaks at 32 MB:
-# interpreter start 0.3 s and the table 0.04 s (its 3783 nonzero entries),
-# the rest output formatting.  Where no entry underflows (alpha = 0.999999)
-# the table takes 0.7 s of 3-5 s and the run peaks at 48 MB.  Both grow
-# linearly in N.  Float `moments` of every family and `limit` keep the
-# float budget.  The Avalanche and shifted series have O(sqrt N) terms near
-# alpha = 1 (8 ms at N = 10^6, 1.0 s at N = 10^10, alpha = 0.999999), but
-# above N = 1000 the Abelian E[Z^2] streams up to N-2 J-tail terms: about
-# 1 s end to end at N = 10^6, alpha = 0.999999.  The Abelian variance holds
-# a stated relative error up to N = 10^6; past it the error grows about
-# linearly in N (2.2e-10 at N = 10^7, 1.3e-7 at N = 10^10, alpha = 0.5).
-PMF_MAX_N = {"exact": 2000, "float": 10**6}
+# Float mode's domain: float `pmf`, float `moments` of every family, `limit`
+# and `sample` serve N <= FLOAT_MAX_N and refuse more with exit 2 before any
+# work.  Past it the float Abelian variance drifts about linearly in N (its
+# relative error is 2.2e-10 at N = 10^7 and 1.3e-7 at N = 10^10, alpha = 0.5).
+FLOAT_MAX_N = 10**6
 
-# Largest N*D, D the decimal digits of d in p = a/d, that exact `pmf` and
-# exact `moments` serve; both refuse more with exit 2 before any work.  An
-# exact value holds about N*D digits, so N alone does not bound its cost.
-# End to end on the same VM: exact `pmf` takes 25-27 s and prints 70 MB at
-# the pmf cap's worst point, N = 2000 and alpha = 999999/1000000 (D = 10),
-# 2.4-3.6 s of it the table and 21.5 s the decimal conversion, and 2.5 s at
-# N = 200, D = 100; N = 100 with D = 1001, refused, would take 24 s, 1.5 s of
-# it the table.
-# Every family's moments sum an N-term series of such integers, quadratic in
-# N.  At N = 2*10^4, alpha = 1/2 (D = 5) they take 1.4 s end to end for the
-# Abelian family and 3.9 s for the Avalanche family (2.2 s in process, most
-# of it the Fractions of E(X^2) - E(X)^2); the Abelian moments take 0.6 s at
-# N = 10^4 and 1.0 s at N = 9000, D = 10.  Without the cap N = 10^6 would
-# run about an hour.
-PMF_MAX_ND = 20_000
-MOMENTS_MAX_ND = 100_000
+# Every command predicts its time from the counts on its command line, before
+# any work, and refuses a prediction over MAX_SECONDS with exit 2, so an
+# admitted command finishes within about MAX_SECONDS on the reference VM.
+MAX_SECONDS = 30
 
-# Largest N, and largest N*M (uniforms drawn), that `sample` serves, from
-# measurements on the same VM, end to end at alpha = 0.9 and N*M = 10^8, the
-# sampler on two threads: 48-51 M uniforms/s at N = 10, 81-97 M at N = 100,
-# 133-164 M at N = 1000 and 103 M at N = 10^4, and 16-17 M draws/s at N = 1;
-# 116-135 M at N = 10^6, where a row is longer than sampler.MAX_BLOCK and the
-# sampler runs on one thread.  At the N*M cap N = 1000 takes 4.1 s and N = 1
-# 57 s.  The run at N = 10^6 holds one row and its temporaries and peaks at
-# 75 MB RSS, growing linearly in N.  Its exact_mean takes 9-14 ms near
-# alpha = 1, at any length of d.
-SAMPLE_MAX_N = 10**6
-SAMPLE_MAX_UNIFORMS = 10**9
-
-# Largest --max-n that `verify` serves, the one size budget of the brute-force
-# oracles.  The exact pmf and moments sweeps grow about as N^2.4: in process on
-# the same VM they take 3.2 and 2.9 s to N = 100 and 8.6 and 6.3 s to N = 150.
-# A full `verify --max-n 150` takes 17-20 s end to end and peaks at 45 MB,
-# under exact `pmf` at its own cap (26 s); the default 25 takes 2.3 s.
-VERIFY_MAX_N = 150
-
-# Largest --samples that `verify` serves: the sampler suite draws it three
-# times, at N = 3, 5 and 10, in time linear in it.  End to end on the same VM
-# the suite takes 4.9 s at 10^7 and 12.7 s at 3*10^7 (39 MB), and 20.8 s at
-# 3*10^7 with the sampler on one thread, about a full `verify --max-n 150`;
-# 4*10^7 took 16.6-18.0 s.
-VERIFY_MAX_SAMPLES = 3 * 10**7
+# Seconds per unit of work, each an upper envelope of end-to-end runs on the
+# reference VM (2 vCPUs, Python 3.11) in the slower of its speed modes; CHANGES
+# lists the runs.  The units, counted where each command checks its time:
+# - uniform, draw: `sample` took 7.7e-8 s a draw at N = 1, 2.5e-7 at N = 10
+#   and 9.9e-6 at N = 1000; its kernel reads uniforms about twice as fast at
+#   N >= 1000 as the rate says.
+# - pmf: 2.3-3.7e-12 s a unit of exact `pmf`, 24.4 s at N = 2000,
+#   alpha = 999999/1000000.
+# - moments: 3.3-4.3e-11 s a unit of exact Avalanche `moments`, 16.2 s at
+#   N = 40000, alpha = 1/2; the Abelian ones take about a quarter of that.
+# - row: a `limit` row's float Abelian variance near alpha = 1: 37 rows
+#   near N = 10^6 at alpha = 0.999999 took 31.9 s; at alpha = 0.5 a row
+#   takes under 1 ms.
+# - suite: the dearest of verify's fixed suites (float, 0.45 s).
+# - sweep: verify's pmf suite took 16.9 s at --max-n 200 and 37.2 s at 250.
+RATES = dict(uniform=2.5e-8, draw=8e-8, pmf=3.7e-12, moments=4.3e-11, row=9e-7, suite=0.5, sweep=3.3e-6)
 
 
 def _parse_ratio(text: str) -> Fraction:
@@ -104,6 +76,11 @@ def _parse_ratio(text: str) -> Fraction:
     exponent = re.search(r"[eE][-+]?([\d_]+)\s*\Z", text)
     if exponent and int(exponent[1].replace("_", "").lstrip("0")[:8] or 0) > 10**6:
         raise ValueError(f"decimal exponents of size <= 1000000 are served, got {text!r}")
+    # Fraction() reads each run of digits with int(), which refuses a run past
+    # Python's int-to-str digit limit (4300 by default; 0 or absent: none).
+    digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+    if 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < digits:
+        raise ValueError(f"numbers of <= {limit} digits are served, got {digits} digits")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -182,33 +159,25 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def _decimal_digits(n: int) -> int:
-    """len(str(n)) for an int n >= 1, without str(): 17 s at a million digits."""
-    digits = int((n.bit_length() - 1) * 0.30102999566)  # <= log10 n: 0.30102999566 < log10 2
-    power = 10**digits
-    while n >= power:
-        digits += 1
-        power *= 10
-    return digits
-
-
-def _check_budget(command: str, quantity: str, value: int, budget: int, gloss: str = "") -> None:
+def _check_budget(command: str, quantity: str, value, budget: int) -> None:
     """Refuse a value over its budget, before any work, with the one message shape."""
     if value > budget:
-        raise ValueError(f"{command} serves {quantity} <= {budget}{gloss}, got {quantity}={value}")
+        raise ValueError(f"{command} serves {quantity} <= {budget}, got {quantity}={value}")
 
 
-def _check_exact_size(command: str, params: Params, budget: int) -> None:
-    """Refuse exact params whose N * (decimal digits of d), p = a/d, is over budget."""
-    if params.is_exact:
-        nd = params.N * _decimal_digits(params.p.denominator)
-        _check_budget(f"{command} --mode exact", "N*D", nd, budget, ", D the digits of d in p = a/d")
+def _check_seconds(command: str, *pieces: tuple[str, int]) -> None:
+    """Refuse a predicted time, the sum of RATES[unit] * count (inf past float range), over MAX_SECONDS."""
+    seconds = sum(RATES[unit] * (count if count < 1e300 else math.inf) for unit, count in pieces)
+    _check_budget(command, "predicted seconds", round(seconds, 1), MAX_SECONDS)
 
 
 def run_pmf(args) -> int:
-    _check_budget(f"pmf --mode {args.mode}", "N", args.N, PMF_MAX_N[args.mode])
+    if args.mode == "float":
+        _check_budget("pmf --mode float", "N", args.N, FLOAT_MAX_N)
     _, params = _build_params(args, args.mode)
-    _check_exact_size("pmf", params, PMF_MAX_ND)
+    # N entries of S = N * d.bit_length() bits, their decimal conversion quadratic in S
+    if params.is_exact:
+        _check_seconds("pmf --mode exact", ("pmf", args.N * (args.N * params.p.denominator.bit_length()) ** 2))
     table = dist.pmf_table(args.family, params)
     # Rows are generated as they are written, in CSV and JSON alike.
     if params.is_exact:
@@ -227,9 +196,11 @@ def run_pmf(args) -> int:
 
 def run_moments(args) -> int:
     if args.mode == "float":
-        _check_budget(f"moments --family {args.family} --mode float", "N", args.N, PMF_MAX_N["float"])
+        _check_budget(f"moments --family {args.family} --mode float", "N", args.N, FLOAT_MAX_N)
     _, params = _build_params(args, args.mode)
-    _check_exact_size("moments", params, MOMENTS_MAX_ND)
+    # gcds and conversions of a few values of S bits; the N-term series costs less
+    if params.is_exact:
+        _check_seconds("moments --mode exact", ("moments", (args.N * params.p.denominator.bit_length()) ** 2))
     m = dist.moments(args.family, params)
     fmt = str if params.is_exact else float
     columns = ["N", "alpha", "mean", "second_moment", "variance"]
@@ -249,7 +220,8 @@ def run_limit(args) -> int:
     alpha = _parse_ratio(args.alpha)
     if not 0 < alpha < 1:  # before float(), which overflows on 1e400
         raise ValueError("alpha must lie in (0, 1)")
-    _check_budget("limit", "N", max(args.N), PMF_MAX_N["float"])
+    _check_budget("limit", "N", max(args.N), FLOAT_MAX_N)
+    _check_seconds("limit", ("row", sum(set(args.N))))  # one row per distinct N
     rows = dist.convergence_table(float(alpha), args.N)
     columns = ["N", "variance", "limit", "abs_error"]
     out = []
@@ -265,8 +237,8 @@ def run_limit(args) -> int:
 def run_sample(args) -> int:
     exact, params = _build_params(args, "float")
     seed = _resolve_seed(args.seed)
-    _check_budget("sample", "N", args.N, SAMPLE_MAX_N)
-    _check_budget("sample", "N*M", args.N * args.M, SAMPLE_MAX_UNIFORMS)
+    _check_budget("sample", "N", args.N, FLOAT_MAX_N)
+    _check_seconds("sample", ("uniform", args.N * args.M), ("draw", args.M))  # each draw reads N uniforms
     stats = sampler.monte_carlo(params, args.M, seed)
     payload = {
         "family": "avalanche",
@@ -289,10 +261,16 @@ def run_verify(args) -> int:
     for flag, value in (("--max-n", args.max_n), ("--samples", args.samples)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    _check_budget("verify", "--max-n", args.max_n, VERIFY_MAX_N)
-    _check_budget("verify", "--samples", args.samples, VERIFY_MAX_SAMPLES)
+    names = args.suite or verify.SUITE_NAMES  # a suite named k times runs k times
+    draws = names.count("sampler") * args.samples  # at each N in SAMPLER_NS, charged as `sample`
+    _check_seconds(
+        "verify",
+        ("suite", len(names)),
+        ("sweep", (names.count("pmf") + names.count("moments")) * args.max_n**3),
+        ("uniform", draws * sum(verify.SAMPLER_NS)),
+        ("draw", draws * len(verify.SAMPLER_NS)),
+    )
     seed = _resolve_seed(args.seed)
-    names = args.suite if args.suite else None
     results = verify.run_suites(names, max_n=args.max_n, samples=args.samples, seed=seed)
     for res in results:
         if res.ok:
@@ -367,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=25,
-        help=f"cap N for the exact sweeps, at most {VERIFY_MAX_N} (shift and jdecomp stop at 20)",
+        help="cap N for the exact sweeps (shift and jdecomp stop at 20)",
     )
     p_ver.add_argument(
         "--samples",
         type=int,
         default=1_000_000,
-        help=f"Monte Carlo draws per sampler check, at most {VERIFY_MAX_SAMPLES}",
+        help="Monte Carlo draws per sampler check",
     )
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.set_defaults(func=run_verify)

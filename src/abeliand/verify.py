@@ -302,6 +302,20 @@ def _chi2_sf(x: float, k: int) -> float:
     return total
 
 
+# The sampler suite's draws: `samples` of them at each N, p = 0.8/N.
+SAMPLER_NS = (3, 5, 10)
+
+
+def _mean_gap(stats: sampler.SampleStats, exact: Params) -> tuple[float, float]:
+    """|empirical - exact mean| and the mean's standard error from the exact variance.
+
+    The empirical standard error is 0 when every draw agrees, which would
+    fail a correct sampler at a few draws.
+    """
+    variance = dist.moments("avalanche", exact).variance
+    return abs(stats.empirical_mean - dist.rounded_avalanche_mean(exact)), math.sqrt(variance / stats.M)
+
+
 def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     r = SuiteResult("sampler")
     small = sampler.monte_carlo(Params.stable(4, p=0.2), 2000, seed)
@@ -313,7 +327,7 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     )
 
     # One draw per point: the N=10 point (p = 2/25) also serves the TV check.
-    points = {N: Fraction(4, 5 * N) for N in (3, 5, 10)}
+    points = {N: Fraction(4, 5 * N) for N in SAMPLER_NS}
     draws = {
         N: sampler.monte_carlo(Params.stable(N, p=float(p)), samples, seed)
         for N, p in points.items()
@@ -326,9 +340,9 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     # TV's sampling noise shrinks like 1/sqrt(M): 0.005 at 10^6 draws.
     bound = 0.005 * math.sqrt(10**6 / samples)
     r.check(tv < bound, f"TV distance {tv:.5f} >= {bound:g} at N=10, p=0.08")
-    gap = abs(stats.empirical_mean - dist.rounded_avalanche_mean(exact))
+    gap, stderr = _mean_gap(stats, exact)
     r.check(
-        gap <= 4 * stats.stderr_mean,
+        gap <= 4 * stderr,
         f"empirical mean off by {gap:.5f} (> 4 stderr) at N=10, p=0.08",
     )
 
@@ -346,9 +360,9 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
             pvalue >= 1e-4,
             f"chi-square rejects at N={N}, p=0.8/{N}: p-value {pvalue:.2e}",
         )
-        mean_gap = abs(st.empirical_mean - dist.rounded_avalanche_mean(ex))
+        mean_gap, stderr = _mean_gap(st, ex)
         r.check(
-            mean_gap <= 4 * st.stderr_mean,
+            mean_gap <= 4 * stderr,
             f"empirical mean off by {mean_gap:.5f} (> 4 stderr) at N={N}, p=0.8/{N}",
         )
     return r

@@ -212,39 +212,107 @@ def test_float_commands_check_the_exact_input(capsys, monkeypatch, argv):
     assert err.startswith("abeliand: error:")
 
 
-@pytest.mark.parametrize("mode", ["exact", "float"])
-def test_pmf_refuses_n_over_budget(capsys, monkeypatch, mode):
-    def no_table(*args):
-        raise AssertionError("pmf_table called on refused input")
+class Admitted(BaseException):
+    """Raised by the stubbed work: the command got past every refusal."""
 
-    monkeypatch.setattr(cli.dist, "pmf_table", no_table)
-    N = cli.PMF_MAX_N[mode] + 1
-    code, out, err = run(
-        capsys, "pmf", "--family", "abelian", "--N", str(N), "--alpha", "1/2",
-        "--mode", mode,
-    )
-    assert code == 2
-    assert out == ""
-    assert err == f"abeliand: error: pmf --mode {mode} serves N <= {N - 1}, got N={N}\n"
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Stub the work each command starts after its refusals, so that it raises Admitted."""
+
+    def work(*args, **kwargs):
+        raise Admitted
+
+    for owner, name in [
+        (cli.dist, "pmf_table"),
+        (cli.dist, "moments"),
+        (cli.dist, "convergence_table"),
+        (cli.dist, "rounded_avalanche_mean"),
+        (cli.sampler, "monte_carlo"),
+        (cli.verify, "run_suites"),
+    ]:
+        monkeypatch.setattr(owner, name, work)
+
+
+def refusal(capsys, *argv):
+    """stderr of a command that exits 2 before any work, with no output."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    return err
+
+
+def assert_admitted(*argv):
+    with pytest.raises(Admitted):
+        main(list(argv))
+
+
+def predicted(*pieces):
+    """The predicted seconds a refusal prints: sum of RATES[unit] * count, rounded to 0.1 s."""
+    return round(sum(cli.RATES[unit] * count for unit, count in pieces), 1)
+
+
+def time_message(command, *pieces):
+    seconds = predicted(*pieces)
+    return f"abeliand: error: {command} serves predicted seconds <= {cli.MAX_SECONDS}, got predicted seconds={seconds}\n"
+
+
+def time_edge(pieces_at):
+    """The largest x >= 1 whose predicted seconds, of pieces_at(x), are within MAX_SECONDS."""
+    assert predicted(*pieces_at(1)) <= cli.MAX_SECONDS
+    lo, hi = 1, 2
+    while predicted(*pieces_at(hi)) <= cli.MAX_SECONDS:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if predicted(*pieces_at(mid)) <= cli.MAX_SECONDS else (lo, mid)
+    return lo
+
+
+def exact_pmf_pieces(N, d):
+    return [("pmf", N * (N * d.bit_length()) ** 2)]
+
+
+def exact_moments_pieces(N, d):
+    return [("moments", (N * d.bit_length()) ** 2)]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_pmf_refuses_n_over_budget(capsys, no_work, mode):
+    # float mode's domain is N <= FLOAT_MAX_N; exact mode's N is bounded by
+    # time, at alpha = 1/2 (d = 2N) about 3600
+    argv = ("pmf", "--family", "abelian", "--alpha", "1/2", "--mode", mode, "--N")
+    if mode == "float":
+        N = cli.FLOAT_MAX_N
+        message = f"abeliand: error: pmf --mode float serves N <= {N}, got N={N + 1}\n"
+    else:
+        N = time_edge(lambda n: exact_pmf_pieces(n, 2 * n))
+        assert 3000 < N < 4000
+        message = time_message("pmf --mode exact", *exact_pmf_pieces(N + 1, 2 * N + 2))
+    assert_admitted(*argv, str(N))
+    assert refusal(capsys, *argv, str(N + 1)) == message
 
 
 @pytest.mark.parametrize(
     "N, M, message",
     [
         (10**6 + 1, 1, "N <= 1000000, got N=1000001"),
-        (1000, 10**6 + 1, "N*M <= 1000000000, got N*M=1000001000"),
-        (10**6, 100_000, "N*M <= 1000000000, got N*M=100000000000"),
+        pytest.param(
+            10**6,
+            100_000,
+            f"predicted seconds <= 30, got predicted seconds={predicted(('uniform', 10**11), ('draw', 10**5))}",
+            id="1000000-100000-predicted-seconds",
+        ),
+        # 10^9 draws at N = 1 take about a minute
+        pytest.param(
+            1,
+            10**9,
+            f"predicted seconds <= 30, got predicted seconds={predicted(('uniform', 10**9), ('draw', 10**9))}",
+            id="1-1000000000-predicted-seconds",
+        ),
     ],
 )
-def test_sample_refuses_work_over_budget(capsys, monkeypatch, N, M, message):
-    def no_work(*args):
-        raise AssertionError("sampling work started on refused input")
-
-    monkeypatch.setattr(cli.sampler, "monte_carlo", no_work)
-    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", no_work)
-    code, out, err = run(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
-    assert code == 2
-    assert out == ""
+def test_sample_refuses_work_over_budget(capsys, no_work, N, M, message):
+    err = refusal(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
     assert err == f"abeliand: error: sample serves {message}\n"
 
 
@@ -275,16 +343,13 @@ def test_sample_exact_mean_at_n_1e6_near_alpha_one(capsys, monkeypatch, alpha, e
     assert json.loads(out)["exact_mean"] == exact_mean
 
 
-@pytest.mark.parametrize("N, M", [(1000, 10**6), (10**6, 1000), (1, 10**9)])
-def test_sample_budget_admits_its_edge(capsys, monkeypatch, N, M):
-    def fake_sampling(params, M, seed):
-        return sampler.SampleStats(M, seed, 0.0, 0.0, {0: M}, 0.0)
-
-    monkeypatch.setattr(cli.sampler, "monte_carlo", fake_sampling)
-    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", lambda params: 0.0)
-    code, out, _ = run(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
-    assert code == 0
-    assert json.loads(out)["M"] == M
+@pytest.mark.parametrize("N", [1, 10, 1000, 10**6])
+def test_sample_time_budget_edge(capsys, no_work, N):
+    # N*M uniforms and M draws: at N = 1 about 2.9e8 draws, at N = 10^6 about 1200
+    M = time_edge(lambda m: [("uniform", N * m), ("draw", m)])
+    assert_admitted("sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
+    err = refusal(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M + 1))
+    assert err == time_message("sample", ("uniform", N * (M + 1)), ("draw", M + 1))
 
 
 @pytest.mark.parametrize("M", ["0", "-3"])
@@ -295,10 +360,20 @@ def test_sample_refuses_nonpositive_m(capsys, M):
     assert err == "abeliand: error: M must be >= 1\n"
 
 
-def test_pmf_budget_admits_the_documented_sizes():
+def test_pmf_budget_admits_the_documented_sizes(no_work):
     # the tests and the benchmark run exact N = 1000 and float N = 10^5
-    assert cli.PMF_MAX_N["exact"] >= 1000
-    assert cli.PMF_MAX_N["float"] >= 10**5
+    assert_admitted("pmf", "--family", "abelian", "--N", "1000", "--alpha", "1/2")
+    assert_admitted("pmf", "--family", "abelian", "--N", str(10**5), "--alpha", "0.5", "--mode", "float")
+
+
+def readme_examples():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    return [line.split()[1:] for line in readme.read_text().splitlines() if line.startswith("abeliand ")]
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_examples_are_admitted(no_work, argv):
+    assert_admitted(*argv)
 
 
 def test_pmf_rejects_unparseable_ratio(capsys):
@@ -360,25 +435,18 @@ def test_float_shifted_variance_at_tiny_alpha(capsys):
 
 
 @pytest.mark.parametrize("family", ["avalanche", "shifted", "abelian"])
-def test_float_moments_refuse_n_over_budget(capsys, monkeypatch, family):
-    def no_moments(*args):
-        raise AssertionError("moments computed on refused input")
-
-    monkeypatch.setattr(cli.dist, "moments", no_moments)
-    N = cli.PMF_MAX_N["float"] + 1
-    code, out, err = run(
-        capsys, "moments", "--family", family, "--N", str(N), "--alpha", "1/2",
-        "--mode", "float",
+def test_float_moments_refuse_n_over_budget(capsys, no_work, family):
+    N = cli.FLOAT_MAX_N + 1
+    err = refusal(
+        capsys, "moments", "--family", family, "--N", str(N), "--alpha", "1/2", "--mode", "float",
     )
-    assert code == 2
-    assert out == ""
     assert err == f"abeliand: error: moments --family {family} --mode float serves N <= {N - 1}, got N={N}\n"
 
 
 @pytest.mark.parametrize("family", ["avalanche", "shifted", "abelian"])
 def test_float_moments_budget_admits_its_limit(capsys, monkeypatch, family):
-    # every family is served up to the one float budget
-    N = cli.PMF_MAX_N["float"]
+    # every family is served up to the one float domain
+    N = cli.FLOAT_MAX_N
     monkeypatch.setattr(cli.dist, "moments", lambda family, params: dist.Moments(1.0, 2.0, 1.0, "float"))
     code, out, _ = run(
         capsys, "moments", "--family", family, "--N", str(N), "--alpha", "1/2", "--mode", "float",
@@ -387,98 +455,83 @@ def test_float_moments_budget_admits_its_limit(capsys, monkeypatch, family):
     assert out.splitlines()[1] == f"{N},0.5,1.0,2.0,1.0"
 
 
-def exact_size_message(command, budget, nd):
-    return f"abeliand: error: {command} --mode exact serves N*D <= {budget}, D the digits of d in p = a/d, got N*D={nd}\n"
-
-
 @pytest.mark.parametrize(
-    "family, N, p, nd",
-    [
-        ("abelian", 2000, "1/10000000000", 2000 * 11),
-        ("avalanche", 100, f"1/{10**1000 + 7}", 100 * 1001),
-    ],
+    "family, N, p",
+    [("abelian", 2000, "1/10000000000"), ("avalanche", 100, f"1/{10**1000 + 7}")],
+    ids=["abelian-2000-d34bits", "avalanche-100-d3322bits"],
 )
-def test_exact_pmf_refuses_digits_over_budget(capsys, monkeypatch, family, N, p, nd):
-    def no_table(*args):
-        raise AssertionError("pmf_table called on refused input")
-
-    monkeypatch.setattr(cli.dist, "pmf_table", no_table)
-    code, out, err = run(capsys, "pmf", "--family", family, "--N", str(N), "--p", p)
-    assert code == 2
-    assert out == ""
-    assert err == exact_size_message("pmf", cli.PMF_MAX_ND, nd)
+def test_exact_pmf_refuses_time_over_budget(capsys, no_work, family, N, p):
+    # a 10-digit d at N = 2000, and a 1001-digit d at N = 100 (about 24 s)
+    err = refusal(capsys, "pmf", "--family", family, "--N", str(N), "--p", p)
+    assert err == time_message("pmf --mode exact", *exact_pmf_pieces(N, Fraction(p).denominator))
 
 
-def test_exact_pmf_digit_budget_admits_its_edge(capsys, monkeypatch):
-    # N = 2000 with a 10-digit d is at the budget; the table is stubbed
-    assert 2000 * 10 == cli.PMF_MAX_ND
-    one = lambda family, params: dist.PmfTable(family, params, range(1, 2), (Fraction(1),), None)
-    monkeypatch.setattr(cli.dist, "pmf_table", one)
-    code, out, _ = run(capsys, "pmf", "--family", "abelian", "--N", "2000", "--p", "1/1000000000")
-    assert code == 0
-    assert out == "b,prob_num,prob_den\n1,1,1\n"
+def test_exact_pmf_digit_budget_admits_its_edge(capsys, no_work):
+    # the edge in the length of d at N = 100, p = 1/10^k: about an 860-digit
+    # d (a 1001-digit one took about 24 s)
+    k = time_edge(lambda k: exact_pmf_pieces(100, 10**k))
+    assert 800 < k < 900
+    assert_admitted("pmf", "--family", "avalanche", "--N", "100", "--p", f"1e-{k}")
+    err = refusal(capsys, "pmf", "--family", "avalanche", "--N", "100", "--p", f"1e-{k + 1}")
+    assert err == time_message("pmf --mode exact", *exact_pmf_pieces(100, 10 ** (k + 1)))
 
 
 @pytest.mark.parametrize(
-    "family, N, ratio, nd",
+    "family, N, ratio",
     [
-        ("abelian", 20001, ("--alpha", "1/2"), 20001 * 5),
-        ("abelian", 10**6, ("--alpha", "1/2"), 10**6 * 7),
-        ("avalanche", 30, ("--p", f"1/{10**3333}"), 30 * 3334),
+        ("abelian", 10**6, ("--alpha", "1/2")),
         # d = 1000 * 10^4298 has 4302 digits, past Python's int-to-str limit
-        ("abelian", 1000, ("--alpha", f"1/{10**4298}"), 1000 * 4302),
+        ("abelian", 1000, ("--alpha", f"1/{10**4298}")),
+        ("avalanche", 3, ("--p", "1e-100000")),
     ],
+    ids=["abelian-1e6-half", "abelian-1000-d4302digits", "avalanche-3-d100001digits"],
 )
-def test_exact_moments_refuse_digits_over_budget(capsys, monkeypatch, family, N, ratio, nd):
-    def no_moments(*args):
-        raise AssertionError("moments computed on refused input")
-
-    monkeypatch.setattr(cli.dist, "moments", no_moments)
-    code, out, err = run(capsys, "moments", "--family", family, "--N", str(N), *ratio)
-    assert code == 2
-    assert out == ""
-    assert err == exact_size_message("moments", cli.MOMENTS_MAX_ND, nd)
+def test_exact_moments_refuse_time_over_budget(capsys, no_work, family, N, ratio):
+    err = refusal(capsys, "moments", "--family", family, "--N", str(N), *ratio)
+    d = (Fraction(ratio[1]) / (N if ratio[0] == "--alpha" else 1)).denominator
+    assert err == time_message("moments --mode exact", *exact_moments_pieces(N, d))
 
 
-def test_exact_moments_digit_budget_admits_its_edge(capsys, monkeypatch):
-    # N = 20000 at alpha = 1/2 has d = 40000, five digits: at the budget
-    assert 20000 * 5 == cli.MOMENTS_MAX_ND
-    one = Fraction(1)
-    monkeypatch.setattr(cli.dist, "moments", lambda family, params: dist.Moments(one, one, one, "exact"))
-    code, out, _ = run(capsys, "moments", "--N", "20000", "--alpha", "1/2")
-    assert code == 0
-    assert out.splitlines()[1] == "20000,1/2,1,1,1"
+def test_exact_moments_digit_budget_admits_its_edge(capsys, no_work):
+    # at alpha = 1/2 (d = 2N) the edge is near N = 46000; N = 40000 took 16 s
+    # for the Avalanche family
+    N = time_edge(lambda n: exact_moments_pieces(n, 2 * n))
+    assert 40000 < N < 50000
+    assert_admitted("moments", "--family", "avalanche", "--N", str(N), "--alpha", "1/2")
+    err = refusal(capsys, "moments", "--family", "avalanche", "--N", str(N + 1), "--alpha", "1/2")
+    assert err == time_message("moments --mode exact", *exact_moments_pieces(N + 1, 2 * N + 2))
 
 
-def test_decimal_digits_match_str():
-    for k in range(3001):
-        for n in (10**k - 1, 10**k, 10**k + 1):
-            if n:
-                assert cli._decimal_digits(n) == len(str(n)), n
-    rng = random.Random(18)
-    for _ in range(2000):
-        n = rng.getrandbits(rng.randint(1, 13000)) or 1
-        assert cli._decimal_digits(n) == len(str(n)), n
-
-
-@pytest.mark.parametrize(
-    "command, budget",
-    [(("moments",), cli.MOMENTS_MAX_ND), (("pmf", "--family", "abelian"), cli.PMF_MAX_ND)],
-    ids=["moments", "pmf"],
-)
-def test_exact_size_refusal_converts_no_decimal(capsys, monkeypatch, command, budget):
-    # d = 10^1000000: its decimal conversion alone took 17 s.  The refusal
-    # counts its digits with no str(), so lifting the int-to-str limit,
-    # which only a conversion needs, is never reached.
+@pytest.mark.parametrize("command", [("moments",), ("pmf", "--family", "abelian")], ids=["moments", "pmf"])
+def test_exact_size_refusal_converts_no_decimal(capsys, monkeypatch, no_work, command):
+    # d = 10^1000000: its decimal conversion alone took 17 s.  The prediction
+    # reads d's bit length, so lifting the int-to-str limit, which only a
+    # conversion needs, is never reached.
     def no_conversion(limit):
         raise AssertionError("int-to-str limit lifted for a refusal")
 
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
     monkeypatch.setattr(sys, "set_int_max_str_digits", no_conversion, raising=False)
-    code, out, err = run(capsys, *command, "--mode", "exact", "--N", "1", "--p", "1e-1000000")
-    assert code == 2
-    assert out == ""
-    assert err == exact_size_message(command[0], budget, 1000001)
+    err = refusal(capsys, *command, "--mode", "exact", "--N", "1", "--p", "1e-1000000")
+    pieces = exact_pmf_pieces if command[0] == "pmf" else exact_moments_pieces
+    assert err == time_message(f"{command[0]} --mode exact", *pieces(1, 10**1000000))
+
+
+def test_time_refusal_past_float_range(capsys, no_work):
+    # N*S^2 past 10^308 predicts an infinite time, not an internal error
+    N = 10**120
+    assert refusal(capsys, "pmf", "--family", "abelian", "--N", str(N), "--alpha", "1/2") == (
+        "abeliand: error: pmf --mode exact serves predicted seconds <= 30, got predicted seconds=inf\n"
+    )
+
+
+@pytest.mark.parametrize("command", [("moments", "--N", "2", "--alpha"), ("limit", "--alpha")], ids=["moments", "limit"])
+def test_parse_refuses_numbers_past_the_int_digit_limit(capsys, command):
+    # int() refuses a run of over 4300 digits, so a valid literal with one
+    # would read "cannot parse" with all 5002 characters echoed
+    literal = "0." + "9" * 5000
+    err = refusal(capsys, *command, literal)
+    assert err == "abeliand: error: numbers of <= 4300 digits are served, got 5000 digits\n"
 
 
 @pytest.mark.parametrize("literal", ["1e-10000000", "1e+10000000", "1E-0_001_000_001"])
@@ -538,16 +591,30 @@ def test_limit_refuses_alpha_out_of_float_range(capsys, alpha):
     assert err == "abeliand: error: alpha must lie in (0, 1)\n"
 
 
-def test_limit_refuses_n_over_budget(capsys, monkeypatch):
-    def no_table(*args):
-        raise AssertionError("convergence_table called on refused input")
-
-    monkeypatch.setattr(cli.dist, "convergence_table", no_table)
-    N = cli.PMF_MAX_N["float"] + 1
-    code, out, err = run(capsys, "limit", "--alpha", "0.5", "--N", "100", str(N), "1000")
-    assert code == 2
-    assert out == ""
+def test_limit_refuses_n_over_budget(capsys, no_work):
+    N = cli.FLOAT_MAX_N + 1
+    err = refusal(capsys, "limit", "--alpha", "0.5", "--N", "100", str(N), "1000")
     assert err == f"abeliand: error: limit serves N <= {N - 1}, got N={N}\n"
+
+
+def test_limit_time_budget_edge(capsys, no_work):
+    # each row costs its N; rows near N = 10^6 take about 0.8 s each
+    def rows(k):
+        return [str(cli.FLOAT_MAX_N - i) for i in range(k)]
+
+    k = time_edge(lambda k: [("row", sum(map(int, rows(k))))])
+    assert 30 < k < 40
+    assert_admitted("limit", "--alpha", "0.999999", "--N", *rows(k))
+    assert_admitted("limit", "--alpha", "0.999999", "--N", *rows(k), *rows(k))  # a repeated N is one row
+    err = refusal(capsys, "limit", "--alpha", "0.999999", "--N", *rows(k + 1))
+    assert err == time_message("limit", ("row", sum(map(int, rows(k + 1)))))
+
+
+def test_limit_refuses_100_rows_near_n_1e6(capsys, no_work):
+    # rows 999901..1000000 take about 0.8 s each at alpha = 0.999999
+    Ns = range(999901, 10**6 + 1)
+    err = refusal(capsys, "limit", "--alpha", "0.999999", "--N", *map(str, Ns))
+    assert err == time_message("limit", ("row", sum(Ns)))
 
 
 # A row that cannot be evaluated prints its cause, and the table exits 0:
@@ -593,7 +660,7 @@ def test_float_moments_refuse_a_non_finite_variance(capsys):
 
 
 def test_limit_budget_admits_its_edge(capsys):
-    N = cli.PMF_MAX_N["float"]
+    N = cli.FLOAT_MAX_N
     code, out, _ = run(capsys, "limit", "--alpha", "0.5", "--N", str(N))
     assert code == 0
     row = out.splitlines()[1].split(",")
@@ -780,28 +847,45 @@ def test_verify_moments_sweeps_past_n_30(capsys):
     assert out.splitlines()[0] == "PASS moments (1017 checks)"
 
 
-def test_verify_refuses_max_n_over_budget(capsys, monkeypatch):
-    def no_suites(*args, **kwargs):
-        raise AssertionError("run_suites called on refused input")
-
-    monkeypatch.setattr(cli.verify, "run_suites", no_suites)
-    over = cli.VERIFY_MAX_N + 1
-    code, out, err = run(capsys, "verify", "--max-n", str(over))
-    assert code == 2
-    assert out == ""
-    assert err == f"abeliand: error: verify serves --max-n <= {cli.VERIFY_MAX_N}, got --max-n={over}\n"
+def verify_pieces(names, max_n=25, samples=10**6):
+    sweeps, samplers = names.count("pmf") + names.count("moments"), names.count("sampler")
+    return [
+        ("suite", len(names)),
+        ("sweep", sweeps * max_n**3),
+        ("uniform", samplers * 18 * samples),  # N = 3, 5 and 10
+        ("draw", samplers * 3 * samples),
+    ]
 
 
-def test_verify_refuses_samples_over_budget(capsys, monkeypatch):
-    def no_suites(*args, **kwargs):
-        raise AssertionError("run_suites called on refused input")
+def test_verify_refuses_max_n_over_budget(capsys, no_work):
+    # every suite at once: --max-n 150 (17-25 s) is admitted
+    names = list(verify.SUITE_NAMES)
+    max_n = time_edge(lambda n: verify_pieces(names, max_n=n))
+    assert 150 <= max_n < 170
+    assert_admitted("verify", "--max-n", str(max_n))
+    err = refusal(capsys, "verify", "--max-n", str(max_n + 1))
+    assert err == time_message("verify", *verify_pieces(names, max_n=max_n + 1))
 
-    monkeypatch.setattr(cli.verify, "run_suites", no_suites)
-    over = cli.VERIFY_MAX_SAMPLES + 1
-    code, out, err = run(capsys, "verify", "--suite", "sampler", "--samples", str(over))
-    assert code == 2
-    assert out == ""
-    assert err == f"abeliand: error: verify serves --samples <= {cli.VERIFY_MAX_SAMPLES}, got --samples={over}\n"
+
+def test_verify_refuses_samples_over_budget(capsys, no_work):
+    # the sampler suite alone: --samples 3*10^7 (16 s) is admitted
+    samples = time_edge(lambda n: verify_pieces(["sampler"], samples=n))
+    assert 3 * 10**7 < samples < 5 * 10**7
+    assert_admitted("verify", "--suite", "sampler", "--samples", str(samples))
+    err = refusal(capsys, "verify", "--suite", "sampler", "--samples", str(samples + 1))
+    assert err == time_message("verify", *verify_pieces(["sampler"], samples=samples + 1))
+
+
+def test_verify_charges_each_repeat_of_a_suite(capsys, no_work):
+    # a suite named k times runs k times: sampler at 3*10^7 samples twice
+    argv = ("verify", "--samples", str(3 * 10**7), "--suite", "sampler")
+    assert_admitted(*argv)
+    err = refusal(capsys, *argv, "--suite", "sampler")
+    assert err == time_message("verify", *verify_pieces(["sampler"] * 2, samples=3 * 10**7))
+    k = time_edge(lambda k: verify_pieces(["stirling"] * k))
+    assert_admitted("verify", *["--suite", "stirling"] * k)
+    err = refusal(capsys, "verify", *["--suite", "stirling"] * (k + 1))
+    assert err == time_message("verify", *verify_pieces(["stirling"] * (k + 1)))
 
 
 def test_verify_usage_error_on_bad_suite():

@@ -854,6 +854,13 @@ def test_float_variance_relative_error(N, alpha, bound):
 
 
 @FLOAT_VARIANCE_XFAIL
+def test_float_variance_zero_at_n1():
+    # Z = 1 surely at N = 1, but E2 - mean^2 leaves -1.1e-16 at alpha = 0.9
+    # and 2.2e-16 at alpha = 0.3.
+    assert [abelian_variance(Params.stable(1, alpha=alpha)).variance for alpha in (0.9, 0.3)] == [0, 0]
+
+
+@FLOAT_VARIANCE_XFAIL
 def test_float_bracket_accuracy_at_n1000_tiny_alpha():
     # A point that test_float_bracket_accuracy's random search reached: the
     # bracket's E[Z^2] is off by a relative 3.02e-13, past its stated 3e-13.

@@ -140,3 +140,28 @@ def test_sampler_suite_draws_each_point_once(monkeypatch):
     repeated = {key: n for key, n in collections.Counter(calls).items() if n > 1}
     # Only the determinism check draws twice, at N=4 on purpose.
     assert repeated == {(4, 0.2, 2000, 3): 2}
+
+
+def _mean_failures(result):
+    return [f for f in result.failures if f.startswith("empirical mean off by")]
+
+
+def test_sampler_mean_checks_pass_at_one_draw():
+    # Each mean check's standard error comes from the exact variance: the
+    # empirical one is 0 at one draw, where it would fail 4 of 10 checks.
+    for seed in range(20):
+        (result,) = verify.run_suites(["sampler"], samples=1, seed=seed)
+        assert not _mean_failures(result), (seed, result.failures)
+
+
+def test_sampler_mean_checks_catch_a_shifted_sampler(monkeypatch):
+    draw = sampler.monte_carlo
+
+    def shifted(params, M, seed):
+        stats = draw(params, M, seed)
+        pmf = {b + 1: c for b, c in stats.empirical_pmf.items()}
+        return dataclasses.replace(stats, empirical_mean=stats.empirical_mean + 1, empirical_pmf=pmf)
+
+    monkeypatch.setattr(sampler, "monte_carlo", shifted)
+    (result,) = verify.run_suites(["sampler"], samples=10_000, seed=1)
+    assert len(_mean_failures(result)) == 4, result.failures
