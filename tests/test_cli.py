@@ -352,6 +352,20 @@ def test_sample_time_budget_edge(capsys, no_work, N):
     assert err == time_message("sample", ("uniform", N * (M + 1)), ("draw", M + 1))
 
 
+@pytest.mark.parametrize("N, M", [(1000, 10**6)])
+def test_sample_budget_admits_its_edge(capsys, monkeypatch, N, M):
+    # N*M = 10^9 at N = 1000, the edge of the retired N*M cap, is still
+    # served: predicted about 25 s
+    def fake_sampling(params, M, seed):
+        return sampler.SampleStats(M, seed, 0.0, 0.0, {0: M}, 0.0)
+
+    monkeypatch.setattr(cli.sampler, "monte_carlo", fake_sampling)
+    monkeypatch.setattr(cli.dist, "rounded_avalanche_mean", lambda params: 0.0)
+    code, out, _ = run(capsys, "sample", "--N", str(N), "--alpha", "0.5", "--M", str(M))
+    assert code == 0
+    assert json.loads(out)["M"] == M
+
+
 @pytest.mark.parametrize("M", ["0", "-3"])
 def test_sample_refuses_nonpositive_m(capsys, M):
     code, out, err = run(capsys, "sample", "--N", "10", "--alpha", "0.5", "--M", M)
@@ -500,6 +514,20 @@ def test_exact_moments_digit_budget_admits_its_edge(capsys, no_work):
     assert_admitted("moments", "--family", "avalanche", "--N", str(N), "--alpha", "1/2")
     err = refusal(capsys, "moments", "--family", "avalanche", "--N", str(N + 1), "--alpha", "1/2")
     assert err == time_message("moments --mode exact", *exact_moments_pieces(N + 1, 2 * N + 2))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--N", "1000", "--alpha", "0.5", "--M", str(10**6 + 1)),
+        ("moments", "--family", "abelian", "--N", "20001", "--alpha", "1/2"),
+    ],
+    ids=["sample-1000-1000001", "moments-abelian-20001-half"],
+)
+def test_admits_inputs_the_retired_size_caps_refused(no_work, argv):
+    # one draw past N*M = 10^9 at N = 1000 is predicted about 25 s, and exact
+    # moments past N*D = 10^5 at alpha = 1/2 about 4 s
+    assert_admitted(*argv)
 
 
 @pytest.mark.parametrize("command", [("moments",), ("pmf", "--family", "abelian")], ids=["moments", "pmf"])
