@@ -1097,7 +1097,12 @@ def _full_support_table(family, params):
 
 
 # Large N and log-uniform alpha put the last nonzero entry anywhere in a
-# table; 64-point blocks put it inside a block, away from either end.
+# table; 64-point blocks put it inside a block, away from either end.  The
+# last four examples sit at the edges of pmf_table's stop rule: an Avalanche
+# p in (1/(N+1), 1/N), where (N+1)p >= 1 and the rule must not fire;
+# alpha = 1 - 2^-40; N = 16385, whose last block holds one point (at 64 as
+# at 16384 points a block); and a tail whose last nonzero entry, b = 192,
+# is the last point of a block.
 @settings(max_examples=40, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),
@@ -1106,13 +1111,41 @@ def _full_support_table(family, params):
 )
 @example(family="abelian", log_N=math.log(10**5), log_alpha=math.log(0.9))
 @example(family="avalanche", log_N=math.log(2 * 10**5), log_alpha=math.log(0.97))
+@example(family="avalanche", log_N=math.log(1000), log_alpha=math.log(0.9995))
+@example(family="abelian", log_N=math.log(10**5), log_alpha=math.log1p(-(2**-40)))
+@example(family="abelian", log_N=math.log(16385), log_alpha=math.log(0.999))
+@example(family="abelian", log_N=math.log(10**4), log_alpha=-4.82256308144046)
 def test_float_table_matches_full_support_kernel(family, log_N, log_alpha):
-    """About 2-4 s: 42 tables up to N = 2*10^5, each also built point by point through math.*."""
-    params = Params.stable(round(math.exp(log_N)), alpha=min(math.exp(log_alpha), 0.999999))
+    """About 2-4 s: 46 tables up to N = 2*10^5, each also built point by point through math.*."""
+    params = Params.stable(round(math.exp(log_N)), alpha=min(math.exp(log_alpha), 1 - 2**-40))
     expected = [q.hex() for q in _full_support_table(family, params)]
     with mock.patch.object(dist, "_BLOCK", 64):
         table = pmf_table(family, params)
     assert [q.hex() for q in table.probs_float] == expected
+
+
+def _screened_points(family, params):
+    """Support points that pmf_table screens: each passes through _stirling_log_factorial twice."""
+    with mock.patch.object(dist, "_stirling_log_factorial", wraps=dist._stirling_log_factorial) as log_factorial:
+        pmf_table(family, params)
+    return sum(len(call.args[0]) for call in log_factorial.call_args_list) // 2
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1e-7])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_float_table_stops_screening_past_a_falling_tail(family, alpha):
+    # the last nonzero entry is at index 3782 (alpha = 0.5) or 48 (1e-7),
+    # inside the first block, and the screen cuts off that block's last point
+    assert _screened_points(family, Params.stable(10**6, alpha=alpha)) <= dist._BLOCK
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_float_table_screens_every_point_near_alpha_1(family):
+    # no entry underflows, so the stop rule never fires: in 64-point blocks
+    # the table at N = 2000 is screened over all of its 32 blocks
+    params = Params.stable(2000, alpha=0.999999)
+    with mock.patch.object(dist, "_BLOCK", 64):
+        assert _screened_points(family, params) == len(support(family, 2000))
 
 
 # Stated accuracy of float tables for N <= 60 and 1e-7 <= alpha <= 0.999999,

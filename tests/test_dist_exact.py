@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abeliand.dist import (
+    _TERMS,
     FAMILIES,
     Params,
     _mean_bracket,
+    _tail_falls,
     abelian_second_moment,
     avalanche_mean,
     j_decomposition,
@@ -286,6 +288,36 @@ def test_exact_table_at_strip_edges_matches_reference_terms(family, params):
     got = pmf_table(family, params).probs_exact
     assert [q.numerator for q in got] == [q.numerator for q in expected]
     assert [q.denominator for q in got] == [q.denominator for q in expected]
+
+
+@st.composite
+def float_p_params(draw):
+    """N <= 60 and a float p: alpha log-uniform from 1e-300 to 1, or p in
+    (1/(N+1), 1/N), where (N+1)p >= 1; alpha at most 1 - 2^-52."""
+    N = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        alpha = math.exp(draw(st.floats(math.log(1e-300), 0)))
+    else:
+        alpha = draw(st.floats(N / (N + 1), 1))
+    return Params.stable(N, alpha=min(alpha, 1 - 2**-52))
+
+
+# At N = 6, alpha = 3/4 the Abelian table rises from index 4 to 5, the
+# last: the rule must count the weight C/(1 - bp) not to fire at index 4.
+# At N = 1, p = 1/2 the Avalanche law has (N+1)p = 1, where x does not fall.
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), params=float_p_params())
+@example(family="abelian", params=Params.stable(6, alpha=0.75))
+@example(family="avalanche", params=Params.stable(1, p=0.5))
+def test_exact_tail_falls_where_the_stop_rule_holds(family, params):
+    """pmf_table's stop rule, read at every index j0 of the float table, against the exact table at the same p."""
+    *_, k = _TERMS[family]
+    n = len(support(family, params.N)) - 1
+    exact = pmf_table(family, Params.exact(params.N, p=Fraction(params.p))).probs_exact
+    stops = [j0 for j0 in range(n + 1) if _tail_falls(n, j0, params.p, k)]
+    if stops:
+        tail = exact[stops[0] :]
+        assert all(later < before for before, later in zip(tail, tail[1:]))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
