@@ -33,11 +33,13 @@ DEFAULT_SAMPLE_M = 100_000
 
 _MAX_FAILURES_SHOWN = 20
 
-# Rows per json.dumps call in JSON tables.  One call per row made float
-# `pmf --output json` at N = 10^6 take 4.2 s instead of 1.6 s (2 cores,
-# Python 3.11); 64 rows a call run as fast as one call for the whole table,
-# and 64 exact rows at N = 2000 (~7000-digit integers) hold about 1 MB.
-_JSON_BATCH = 64
+# Rows per write, in CSV and JSON tables alike.  One json.dumps call per row
+# made float `pmf --output json` at N = 10^6 take 4.2 s instead of 1.6 s (2
+# cores, Python 3.11), and one write per row, csv.writer's, made float CSV
+# rows cost several times their table; 64 rows a call run as fast as one call
+# for the whole table, and 64 exact rows at N = 2000 (~7000-digit integers)
+# hold about 1 MB.
+_BATCH = 64
 
 # Float mode's domain: float `pmf`, float `moments` of every family, `limit`
 # and `sample` serve N <= FLOAT_MAX_N and refuse more with exit 2 before any
@@ -68,8 +70,8 @@ MAX_SECONDS = 30
 RATES = dict(uniform=2.5e-8, draw=8e-8, pmf=3.7e-12, moments=4.3e-11, row=9e-7, suite=0.5, sweep=3.3e-6)
 
 
-def _parse_ratio(text: str) -> Fraction:
-    """Parse "num/den" or a decimal literal into an exact Fraction."""
+def _check_literal(text: str) -> None:
+    """Refuse a literal whose Fraction() would take unbounded time or fail on its digit count."""
     # Fraction() builds 10^|e| for a decimal exponent e: 9 s at |e| = 10^7.
     # Past |e| = 10^6 an argument of at most 128 KiB (Linux) is at least 1, or
     # its float is 0.0 and its d has over 10^5 digits: refused downstream anyway.
@@ -81,11 +83,56 @@ def _parse_ratio(text: str) -> Fraction:
     digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
     if 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < digits:
         raise ValueError(f"numbers of <= {limit} digits are served, got {digits} digits")
+
+
+def _parse_ratio(text: str) -> Fraction:
+    """Parse "num/den" or a decimal literal into an exact Fraction."""
+    _check_literal(text)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse {text!r} as a fraction or decimal") from exc
     return value
+
+
+# [+]m[.f]e-k in ASCII digits, a form every supported Python's Fraction()
+# reads: its value is M/10^K for M = int(m f) and K = k + len(f).
+_SMALL_DECIMAL = re.compile(r"\s*\+?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]-([0-9]+)\s*")
+
+
+def _least_den_bits(text: str, below: int) -> int:
+    """A lower bound on d.bit_length() for the literal's value a/d, read off its text; 0 if none.
+
+    Only a literal of _SMALL_DECIMAL's form that is provably in (0, 1/below)
+    is bounded, so that Fraction() and Params, run later, would admit it.
+    """
+    match = _SMALL_DECIMAL.fullmatch(text)
+    if match is None:
+        return 0
+    fraction = match[2] or ""
+    M = int(match[1] or 0) * 10 ** len(fraction) + int(fraction or 0)
+    K = int(match[3]) + len(fraction)
+    # M * below < 2^(bit lengths) <= 8^K < 10^K puts the value in (0, 1/below)
+    if M == 0 or M.bit_length() + below.bit_length() > 3 * K:
+        return 0
+    # d = 10^K / gcd(M, 10^K) >= 10^K / M; 2^-20 is far above the rounding of the logs
+    return math.floor(K * math.log2(10) - math.log2(M) - 2.0**-20) + 1
+
+
+def _exact_params(args, command: str, cost) -> Params:
+    """The exact Params, refused if cost(d.bit_length()), a (unit, count), predicts over MAX_SECONDS.
+
+    A decimal literal is judged first at _least_den_bits, before Fraction()
+    builds 10^K: the cost rises with the bit length, so a refusal there is
+    one at d, and reports the prediction at the bound.
+    """
+    text, below = (args.p, args.N) if args.p is not None else (args.alpha, 1)
+    _check_literal(text)
+    if args.N >= 1:
+        _check_seconds(command, cost(_least_den_bits(text, below)))
+    params, _ = _build_params(args, "exact")
+    _check_seconds(command, cost(params.p.denominator.bit_length()))
+    return params
 
 
 def _build_params(args, mode: str) -> tuple[Params, Params]:
@@ -117,17 +164,61 @@ def _resolve_seed(arg_seed) -> int:
 
 
 def _write_json_rows(columns, rows) -> None:
-    """Write the rows as one JSON array of objects, _JSON_BATCH rows at a time.
+    """Write the rows as one JSON array of objects, _BATCH rows at a time.
 
     The bytes are json.dumps([dict(zip(columns, row)) for row in rows]) and a
     newline, "[]" for no rows included, but no list of all the rows is built.
     """
     rows = iter(rows)
     sep = "["
-    while batch := [dict(zip(columns, row)) for row in islice(rows, _JSON_BATCH)]:
+    while batch := [dict(zip(columns, row)) for row in islice(rows, _BATCH)]:
         sys.stdout.write(sep + json.dumps(batch)[1:-1])
         sep = ", "
     sys.stdout.write("[]\n" if sep == "[" else "]\n")
+
+
+def _write_pmf(table: dist.PmfTable, output: str) -> None:
+    """Write a PMF table, _BATCH rows a write, in _emit_table's bytes.
+
+    Rows are formatted as text: csv.writer and json.dumps write an int as
+    str() does and a float as repr() does, but for json.dumps's NaN and
+    Infinity, so JSON floats are cut from json.dumps of their batch.  An
+    exact table's denominators are d's part above N+1 to the N times powers
+    of d's primes up to N+1, so they repeat: each distinct one is converted
+    to decimal once, through a dict.
+    """
+    sup = table.support
+    if table.probs_exact is None:
+        columns = ["b", "prob"]
+
+        def cells(i: int, j: int):
+            probs = table.probs_float[i:j].tolist()
+            return sup[i:j], json.dumps(probs)[1:-1].split(", ") if output == "json" else probs
+
+    else:
+        columns = ["b", "prob_num", "prob_den"]
+        dens: dict[int, str] = {}
+
+        def den_text(den: int) -> str:
+            if den not in dens:
+                dens[den] = str(den)
+            return dens[den]
+
+        def cells(i: int, j: int):
+            probs = table.probs_exact[i:j]
+            return sup[i:j], [q.numerator for q in probs], [den_text(q.denominator) for q in probs]
+
+    if output == "json":
+        row = "{{" + ", ".join(f'"{c}": {{}}' for c in columns) + "}}"
+        head, sep, tail = "[", ", ", "]\n"
+    else:
+        row = ",".join(["{}"] * len(columns)) + "\n"
+        head, sep, tail = row.format(*columns), "", ""
+    write = sys.stdout.write
+    write(head)
+    for i in range(0, len(sup), _BATCH):
+        write((sep if i else "") + sep.join(map(row.format, *cells(i, i + _BATCH))))
+    write(tail)
 
 
 def _emit_table(args, columns, rows) -> None:
@@ -174,33 +265,23 @@ def _check_seconds(command: str, *pieces: tuple[str, int]) -> None:
 def run_pmf(args) -> int:
     if args.mode == "float":
         _check_budget("pmf --mode float", "N", args.N, FLOAT_MAX_N)
-    _, params = _build_params(args, args.mode)
-    # N entries of S = N * d.bit_length() bits, their decimal conversion quadratic in S
-    if params.is_exact:
-        _check_seconds("pmf --mode exact", ("pmf", args.N * (args.N * params.p.denominator.bit_length()) ** 2))
-    table = dist.pmf_table(args.family, params)
-    # Rows are generated as they are written, in CSV and JSON alike.
-    if params.is_exact:
-        columns = ["b", "prob_num", "prob_den"]
-        rows = (
-            (b, q.numerator, q.denominator)
-            for b, q in zip(table.support, table.probs_exact)
-        )
+        _, params = _build_params(args, "float")
     else:
-        columns = ["b", "prob"]
-        rows = zip(table.support, map(float, table.probs_float))
+        # N entries of S = N * d.bit_length() bits, their decimal conversion quadratic in S
+        params = _exact_params(args, "pmf --mode exact", lambda bits: ("pmf", args.N * (args.N * bits) ** 2))
+    table = dist.pmf_table(args.family, params)
     with _unlimited_int_digits():
-        _emit_table(args, columns, rows)
+        _write_pmf(table, args.output)
     return 0
 
 
 def run_moments(args) -> int:
     if args.mode == "float":
         _check_budget(f"moments --family {args.family} --mode float", "N", args.N, FLOAT_MAX_N)
-    _, params = _build_params(args, args.mode)
-    # gcds and conversions of a few values of S bits; the N-term series costs less
-    if params.is_exact:
-        _check_seconds("moments --mode exact", ("moments", (args.N * params.p.denominator.bit_length()) ** 2))
+        _, params = _build_params(args, "float")
+    else:
+        # gcds and conversions of a few values of S bits; the N-term series costs less
+        params = _exact_params(args, "moments --mode exact", lambda bits: ("moments", (args.N * bits) ** 2))
     m = dist.moments(args.family, params)
     fmt = str if params.is_exact else float
     columns = ["N", "alpha", "mean", "second_moment", "variance"]

@@ -471,13 +471,24 @@ def pmf(family: str, params: Params, b: int) -> Number:
     return _float_block(family, params, np.array([b]))[0].item()
 
 
+def exact_source(family: str, params: Params) -> tuple:
+    """The exact generator and the (N, p, range) it runs on for pmf_table.
+
+    Equal sources give equal probabilities: the avalanche and shifted
+    families, one generator on one range, share theirs.
+    """
+    sup = support(family, params.N)
+    exact_terms, _, shift, _, _, _, _ = _TERMS[family]
+    return exact_terms, params.N, params.p, range(sup.start - shift, sup.stop - shift)
+
+
 def pmf_table(family: str, params: Params) -> PmfTable:
     """Whole-support table: exact Fractions, or a read-only float64 array."""
     sup = support(family, params.N)
-    exact_terms, log_block, shift, _, _, _, k = _TERMS[family]
     if params.is_exact:
-        probs = tuple(exact_terms(params.N, params.p, range(sup.start - shift, sup.stop - shift)))
-        return PmfTable(family, params, sup, probs, None)
+        exact_terms, *arguments = exact_source(family, params)
+        return PmfTable(family, params, sup, tuple(exact_terms(*arguments)), None)
+    _, log_block, shift, _, _, _, k = _TERMS[family]
     import numpy as np
 
     probs = np.zeros(len(sup))
@@ -678,14 +689,32 @@ _TERMS = {
 FAMILIES = tuple(_TERMS)
 
 
+def table_moment(table: PmfTable, k: int) -> Fraction:
+    """sum_b b^k P(b) over an exact table, as one integer over a common denominator.
+
+    A table's denominators are d's part above N+1 to the N, times powers of
+    d's primes up to N+1, so few are distinct: each one's entries are summed
+    as integers, and the sums meet over the lcm of the denominators, with
+    one gcd in all where chained Fraction additions take one per entry.
+    """
+    sums: dict[int, int] = {}
+    for b, q in zip(table.support, table.probs_exact):
+        sums[q.denominator] = sums.get(q.denominator, 0) + b**k * q.numerator
+    lcm = math.lcm(*sums)
+    return Fraction(sum(s * (lcm // den) for den, s in sums.items()), lcm)
+
+
 def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
-    """k-th raw moment summed over the exact table: the oracle for every series."""
+    """k-th raw moment summed over the exact table: the oracle for every series.
+
+    It is table_moment of pmf_table, an exact sum over the whole support that
+    shares no code with the falling-power series it checks.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
     if not params.is_exact:
         raise ValueError("brute_force_moment requires exact-mode params")
-    table = pmf_table(family, params)
-    return sum(Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact))
+    return table_moment(pmf_table(family, params), k)
 
 
 def moments(family: str, params: Params) -> Moments:

@@ -109,15 +109,34 @@ def suite_bounds() -> SuiteResult:
     return r
 
 
-def suite_pmf(max_n: int = 25) -> SuiteResult:
+class ExactTables:
+    """The exact PMF tables of one run of the suites, each built once.
+
+    Keyed by dist.exact_source, the generator and the arguments a table comes
+    from, so the avalanche and shifted families, one generator on one range,
+    share a table.  The exact suites take one; run_suites makes one per run.
+    """
+
+    def __init__(self):
+        self._probs: dict[tuple, tuple[Fraction, ...]] = {}
+
+    def get(self, family: str, params: Params) -> dist.PmfTable:
+        source = dist.exact_source(family, params)
+        if source not in self._probs:
+            self._probs[source] = dist.pmf_table(family, params).probs_exact
+        return dist.PmfTable(family, params, dist.support(family, params.N), self._probs[source], None)
+
+
+def suite_pmf(max_n: int = 25, tables: ExactTables | None = None) -> SuiteResult:
     r = SuiteResult("pmf")
+    tables = tables or ExactTables()
     for N in range(1, max_n + 1):
         for alpha in ALPHA_GRID:
             params = Params.exact(N, alpha=alpha)
             for family in dist.FAMILIES:
-                table = dist.pmf_table(family, params)
+                table = tables.get(family, params)
                 r.check(
-                    sum(table.probs_exact) == 1,
+                    dist.table_moment(table, 0) == 1,
                     f"{family} pmf sum != 1 at N={N}, alpha={alpha}",
                 )
                 r.check(
@@ -127,18 +146,20 @@ def suite_pmf(max_n: int = 25) -> SuiteResult:
     return r
 
 
-def suite_moments(max_n: int = 25) -> SuiteResult:
+def suite_moments(max_n: int = 25, tables: ExactTables | None = None) -> SuiteResult:
     r = SuiteResult("moments")
+    tables = tables or ExactTables()
     for N in range(1, max_n + 1):
         for alpha in ALPHA_GRID:
             params = Params.exact(N, alpha=alpha)
             m = dist.abelian_variance(params)
+            table = tables.get("abelian", params)
             r.check(
-                m.mean == dist.brute_force_moment("abelian", params, 1),
+                m.mean == dist.table_moment(table, 1),
                 f"abelian mean mismatch at N={N}, alpha={alpha}",
             )
             r.check(
-                m.second_moment == dist.brute_force_moment("abelian", params, 2),
+                m.second_moment == dist.table_moment(table, 2),
                 f"abelian second moment mismatch at N={N}, alpha={alpha}",
             )
             r.check(
@@ -148,21 +169,22 @@ def suite_moments(max_n: int = 25) -> SuiteResult:
             if N <= 20:
                 r.check(
                     dist.avalanche_mean(params)
-                    == dist.brute_force_moment("avalanche", params, 1),
+                    == dist.table_moment(tables.get("avalanche", params), 1),
                     f"avalanche mean mismatch at N={N}, alpha={alpha}",
                 )
     return r
 
 
-def suite_shift(max_n: int = 20) -> SuiteResult:
+def suite_shift(max_n: int = 20, tables: ExactTables | None = None) -> SuiteResult:
     # Parametrized by p = alpha/(N+1) so the (N+1)-parameter Abelian family
     # on the right-hand side of the mean identity is itself valid.
     r = SuiteResult("shift")
+    tables = tables or ExactTables()
     for N in range(1, max_n + 1):
         for alpha in ALPHA_GRID:
             p = alpha / (N + 1)
             params = Params.exact(N, p=p)
-            mean_y = dist.brute_force_moment("shifted", params, 1)
+            mean_y = dist.table_moment(tables.get("shifted", params), 1)
             mean_x = dist.avalanche_mean(params)
             r.check(
                 mean_y == mean_x + 1,
@@ -181,8 +203,9 @@ def suite_shift(max_n: int = 20) -> SuiteResult:
     return r
 
 
-def suite_jdecomp(max_n: int = 20) -> SuiteResult:
+def suite_jdecomp(max_n: int = 20, tables: ExactTables | None = None) -> SuiteResult:
     r = SuiteResult("jdecomp")
+    tables = tables or ExactTables()
     for N in range(2, max_n + 1):
         for alpha in ALPHA_GRID:
             params = Params.exact(N, alpha=alpha)
@@ -197,7 +220,7 @@ def suite_jdecomp(max_n: int = 20) -> SuiteResult:
             )
             r.check(
                 jd.C * (jd.J1 - jd.J2)
-                == dist.brute_force_moment("abelian", params, 2),
+                == dist.table_moment(tables.get("abelian", params), 2),
                 f"C*(J1-J2) != E[Z^2] at N={N}, alpha={alpha}",
             )
     return r
@@ -210,8 +233,9 @@ def _relative_gap(approx: float, exact: Fraction) -> float:
     return abs(approx - e) / e
 
 
-def suite_float() -> SuiteResult:
+def suite_float(tables: ExactTables | None = None) -> SuiteResult:
     r = SuiteResult("float")
+    tables = tables or ExactTables()
     for family in dist.FAMILIES:
         for N, tol, alphas in (
             (10**3, 1e-10, (0.3, 0.5, 0.9)),
@@ -231,7 +255,7 @@ def suite_float() -> SuiteResult:
         exact = Params.exact(N, alpha=alpha)
         approx = Params.stable(N, alpha=float(alpha))
         for family in dist.FAMILIES:
-            etab = dist.pmf_table(family, exact)
+            etab = tables.get(family, exact)
             ftab = dist.pmf_table(family, approx)
             worst = max(
                 _relative_gap(f, e)
@@ -316,8 +340,9 @@ def _mean_gap(stats: sampler.SampleStats, exact: Params) -> tuple[float, float]:
     return abs(stats.empirical_mean - dist.rounded_avalanche_mean(exact)), math.sqrt(variance / stats.M)
 
 
-def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
+def suite_sampler(samples: int = 1_000_000, seed: int = 42, tables: ExactTables | None = None) -> SuiteResult:
     r = SuiteResult("sampler")
+    tables = tables or ExactTables()
     small = sampler.monte_carlo(Params.stable(4, p=0.2), 2000, seed)
     again = sampler.monte_carlo(Params.stable(4, p=0.2), 2000, seed)
     r.check(small == again, "monte_carlo not deterministic for a fixed seed")
@@ -335,7 +360,7 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
 
     exact = Params.exact(10, p=points[10])
     stats = draws[10]
-    table = dist.pmf_table("avalanche", exact)
+    table = tables.get("avalanche", exact)
     tv = total_variation(stats.empirical_pmf, stats.M, table)
     # TV's sampling noise shrinks like 1/sqrt(M): 0.005 at 10^6 draws.
     bound = 0.005 * math.sqrt(10**6 / samples)
@@ -349,7 +374,7 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     for N, p in points.items():
         ex = Params.exact(N, p=p)
         st = draws[N]
-        expected = [float(q) * st.M for q in dist.pmf_table("avalanche", ex).probs_exact]
+        expected = [float(q) * st.M for q in tables.get("avalanche", ex).probs_exact]
         scale = st.M / math.fsum(expected)
         chi2 = math.fsum(
             (st.empirical_pmf.get(b, 0) - e * scale) ** 2 / (e * scale)
@@ -368,23 +393,23 @@ def suite_sampler(samples: int = 1_000_000, seed: int = 42) -> SuiteResult:
     return r
 
 
-def _runners(max_n: int, samples: int, seed: int) -> dict:
+def _runners(max_n: int, samples: int, seed: int, tables: ExactTables | None) -> dict:
     # Suite name -> runner, in run order.  Built per call so each runner
     # looks up its suite function when the run starts.
     return {
         "stirling": suite_stirling,
         "bounds": suite_bounds,
-        "pmf": lambda: suite_pmf(max_n),
-        "moments": lambda: suite_moments(max_n),
-        "shift": lambda: suite_shift(min(max_n, 20)),
-        "jdecomp": lambda: suite_jdecomp(min(max_n, 20)),
-        "float": suite_float,
+        "pmf": lambda: suite_pmf(max_n, tables),
+        "moments": lambda: suite_moments(max_n, tables),
+        "shift": lambda: suite_shift(min(max_n, 20), tables),
+        "jdecomp": lambda: suite_jdecomp(min(max_n, 20), tables),
+        "float": lambda: suite_float(tables),
         "limit": suite_limit,
-        "sampler": lambda: suite_sampler(samples, seed),
+        "sampler": lambda: suite_sampler(samples, seed, tables),
     }
 
 
-SUITE_NAMES = tuple(_runners(0, 0, 0))
+SUITE_NAMES = tuple(_runners(0, 0, 0, None))
 
 
 def run_suites(
@@ -393,7 +418,8 @@ def run_suites(
     samples: int = 1_000_000,
     seed: int = 42,
 ) -> list[SuiteResult]:
-    runners = _runners(max_n, samples, seed)
+    # one table store a run: a later run builds its tables afresh
+    runners = _runners(max_n, samples, seed, ExactTables())
     if names is None:
         names = SUITE_NAMES
     unknown = [n for n in names if n not in runners]

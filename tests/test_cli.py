@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -162,11 +164,9 @@ def test_limit_json_bytes_match_one_list(capsys):
     assert out == _json_as_one_list(["N", "variance", "limit", "abs_error"], rows)
 
 
-def test_pmf_json_streams_its_rows(monkeypatch):
-    """About 4-6 s: tracemalloc slows the N = 2*10^5 float JSON run from 0.6 s."""
-    # Built as one list of row dicts and one string, the JSON table at
-    # N = 2e5 peaked at 62 MB traced; streamed it stays with the CSV path's
-    # ~10 MB (the table and its kernel's blocks).
+def float_pmf_peak(monkeypatch, output):
+    """(characters written, traced peak bytes) of float `pmf` at N = 2*10^5."""
+
     class Sink:
         chars = 0
 
@@ -175,15 +175,94 @@ def test_pmf_json_streams_its_rows(monkeypatch):
 
     sink = Sink()
     monkeypatch.setattr(sys, "stdout", sink)
-    argv = ["pmf", "--family", "abelian", "--N", "200000", "--alpha", "0.5", "--mode", "float", "--output", "json"]
+    argv = ["pmf", "--family", "abelian", "--N", "200000", "--alpha", "0.5", "--mode", "float", "--output", output]
     tracemalloc.start()
     try:
         code = main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 0 and sink.chars > 200_000 * len('{"b": 1, "prob": 0.5}, ')
+    assert code == 0
+    return sink.chars, peak
+
+
+def test_pmf_json_streams_its_rows(monkeypatch):
+    """About 4-6 s: tracemalloc slows the N = 2*10^5 float JSON run from 0.6 s."""
+    # Built as one list of row dicts and one string, the JSON table at
+    # N = 2e5 peaked at 62 MB traced; streamed it stays with the CSV path's
+    # ~10 MB (the table and its kernel's blocks).
+    chars, peak = float_pmf_peak(monkeypatch, "json")
+    assert chars > 200_000 * len('{"b": 1, "prob": 0.5}, ')
     assert peak < 20_000_000
+
+
+def test_pmf_csv_streams_its_rows(monkeypatch):
+    # CSV rows are formatted _BATCH at a time; a list of every row's text
+    # would hold about 2*10^5 strings past the table
+    chars, peak = float_pmf_peak(monkeypatch, "csv")
+    assert chars > 200_000 * len("1,0.0\n")
+    assert peak < 20_000_000
+
+
+def writers_reference(columns, rows, output):
+    """The bytes of csv.writer or of one json.dumps of every row: what `pmf` writes."""
+    if output == "json":
+        return _json_as_one_list(columns, rows)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def batch_edge_table(mode, rows):
+    # a float zero of either sign, subnormals, non-finite floats, and exact
+    # entries whose denominators repeat, over every batch edge
+    params = Params.exact(1, p=Fraction(1, 2))
+    if mode == "float":
+        import numpy
+
+        values = [0.0, -0.0, 5e-324, 0.1, 1 / 3, 1e300, math.inf, math.nan, 2.5e-310]
+        probs = numpy.array([values[b % len(values)] for b in range(rows)])
+        return dist.PmfTable("avalanche", params, range(rows), None, probs)
+    dens = [1, 3, 2**70, 3**45 * 7]
+    probs = tuple(Fraction(b * b - 7, dens[b % 4]) for b in range(rows))
+    return dist.PmfTable("avalanche", params, range(rows), probs, None)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("rows", [0, 1, cli._BATCH - 1, cli._BATCH, cli._BATCH + 1], ids=["0", "1", "B-1", "B", "B+1"])
+def test_pmf_rows_match_the_writers_at_batch_edges(capsys, output, mode, rows):
+    table = batch_edge_table(mode, rows)
+    cli._write_pmf(table, output)
+    out, _ = capsys.readouterr()
+    if mode == "float":
+        columns, cells = ["b", "prob"], list(zip(table.support, table.probs_float.tolist()))
+    else:
+        columns = ["b", "prob_num", "prob_den"]
+        cells = [(b, q.numerator, q.denominator) for b, q in zip(table.support, table.probs_exact)]
+    assert len(cells) == rows
+    assert out == writers_reference(columns, cells, output)
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+@pytest.mark.parametrize("family", dist.FAMILIES)
+@pytest.mark.parametrize(
+    ("N", "ratio"),
+    [(200, ("--alpha", "1/2")), (100, ("--p", "1/1009"))],
+    ids=["200-half", "100-p1009"],
+)
+def test_pmf_exact_bytes_match_the_writers(capsys, output, family, N, ratio):
+    # alpha = 1/2 at N = 200: some hundred distinct denominators in 200 rows;
+    # p = 1/1009 at N = 100: one or a few in 100 rows
+    params = Params.exact(N, **{ratio[0][2:]: Fraction(ratio[1])})
+    table = dist.pmf_table(family, params)
+    rows = [(b, q.numerator, q.denominator) for b, q in zip(table.support, table.probs_exact)]
+    assert len({den for _, _, den in rows}) < len(rows)
+    code, out, err = run(capsys, "pmf", "--family", family, "--N", str(N), *ratio, "--output", output)
+    assert code == 0 and err == ""
+    assert out == writers_reference(["b", "prob_num", "prob_den"], rows, output)
 
 
 def test_pmf_rejects_bad_alpha(capsys):
@@ -538,11 +617,59 @@ def test_exact_size_refusal_converts_no_decimal(capsys, monkeypatch, no_work, co
     def no_conversion(limit):
         raise AssertionError("int-to-str limit lifted for a refusal")
 
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
     monkeypatch.setattr(sys, "set_int_max_str_digits", no_conversion, raising=False)
+    # nor is 10^1000000 built: the literal's bound on d's bit length, exact
+    # here, refuses it first (0.43 s of Fraction() in the parse otherwise)
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
     err = refusal(capsys, *command, "--mode", "exact", "--N", "1", "--p", "1e-1000000")
     pieces = exact_pmf_pieces if command[0] == "pmf" else exact_moments_pieces
     assert err == time_message(f"{command[0]} --mode exact", *pieces(1, 10**1000000))
+
+
+def outcome(capsys, *argv):
+    """"admitted", or a refusal's message with its predicted seconds cut off."""
+    try:
+        code, out, err = run(capsys, *argv)
+    except Admitted:
+        return "admitted", None
+    except SystemExit as exc:  # argparse reads -1e-90000 as an option
+        return f"usage {exc.code} {capsys.readouterr().err}", None
+    assert (code, out) == (2, "")
+    head, _, seconds = err.partition("got predicted seconds=")
+    return head, float(seconds) if seconds else None
+
+
+# Each side of the time edges at N = 3 (d near 2^278000 for moments, 2^548000
+# for pmf), literals the bound reads and literals it leaves to the parse
+BOUND_LITERALS = [
+    "1e-80000", "1e-83815", "1e-83830", "1e-90000", "7.5e-90000", "0.00120e-89990", "+12345E-90000",
+    " 1e-90000 ", "1e-165000", "1e-170000", "-1e-90000", "0e-90000", "0.0e-90000", "1e-1000001",
+    "1_0e-90000", "9" * 90001 + "e-90000", "1/3", "1e-5", "5.e-1",
+]
+
+
+@pytest.mark.parametrize("flag", ["--p", "--alpha"])
+@pytest.mark.parametrize("N", [1, 3, 0, -2])
+@pytest.mark.parametrize(
+    "command", [("moments",), ("pmf", "--family", "avalanche")], ids=["moments", "pmf"]
+)
+def test_literal_bound_keeps_every_verdict(capsys, monkeypatch, no_work, command, N, flag):
+    # The refusal read off the literal, before its Fraction, refuses what the
+    # time check at d refuses and nothing else; its prediction, at a lower
+    # bound on d's bit length, is at most d's.
+    for literal in BOUND_LITERALS:
+        argv = (*command, "--N", str(N), flag, literal)
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(cli, "_least_den_bits", lambda text, below: 0)
+            at_d = outcome(capsys, *argv)
+        early = outcome(capsys, *argv)
+        assert early[0] == at_d[0], argv
+        if early[1] is not None:
+            assert early[1] <= at_d[1], argv
 
 
 def test_time_refusal_past_float_range(capsys, no_work):

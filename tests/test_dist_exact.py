@@ -13,16 +13,19 @@ from abeliand.dist import (
     _TERMS,
     FAMILIES,
     Params,
+    PmfTable,
     _mean_bracket,
     _tail_falls,
     abelian_second_moment,
     avalanche_mean,
+    brute_force_moment,
     j_decomposition,
     normalization_C,
     pmf,
     pmf_table,
     rounded_avalanche_mean,
     support,
+    table_moment,
 )
 
 
@@ -261,6 +264,36 @@ def test_exact_table_matches_reference_terms(family, params):
         # numerator and denominator apart: an unreduced Fraction fails here
         assert [q.numerator for q in got] == [q.numerator for q in expected]
         assert [q.denominator for q in got] == [q.denominator for q in expected]
+
+
+def plain_moment(table, k):
+    """sum_b b^k P(b) as a chain of Fraction additions: table_moment's reference."""
+    return sum(Fraction(b) ** k * q for b, q in zip(table.support, table.probs_exact))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), params=exact_params())
+def test_brute_force_moment_is_the_plain_sum(family, params):
+    table = pmf_table(family, params)
+    for k in range(5):
+        assert brute_force_moment(family, params, k) == plain_moment(table, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    start=st.integers(0, 3),
+    probs=st.lists(
+        # denominators drawn from few values repeat, as a table's do
+        st.builds(Fraction, st.integers(-(10**30), 10**30), st.sampled_from([1, 2, 12, 3**40, 10**25 + 7]))
+        | st.fractions(),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_table_moment_is_the_plain_sum_of_any_table(start, probs):
+    table = PmfTable("avalanche", Params.exact(1, p=Fraction(1, 2)), range(start, start + len(probs)), tuple(probs), None)
+    for k in range(5):
+        assert table_moment(table, k) == plain_moment(table, k)
 
 
 @st.composite

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abeliand import sampler, verify
+from abeliand import dist, sampler, verify
+from abeliand.dist import Params
 from abeliand.verify import _chi2_sf
 
 # Stated accuracy of the tail: relative error below TAIL_RTOL wherever the
@@ -165,3 +166,54 @@ def test_sampler_mean_checks_catch_a_shifted_sampler(monkeypatch):
     monkeypatch.setattr(sampler, "monte_carlo", shifted)
     (result,) = verify.run_suites(["sampler"], samples=10_000, seed=1)
     assert len(_mean_failures(result)) == 4, result.failures
+
+
+def _counted_tables(monkeypatch):
+    """Record the (family, params) of every exact table verify's suites build."""
+    build = dist.pmf_table
+    calls = []
+
+    def counted(family, params):
+        if params.is_exact:
+            calls.append((family, params))
+        return build(family, params)
+
+    monkeypatch.setattr(verify.dist, "pmf_table", counted)
+    return calls
+
+
+def test_one_run_builds_each_exact_table_once(monkeypatch):
+    calls = _counted_tables(monkeypatch)
+    results = verify.run_suites(["pmf", "moments", "shift", "jdecomp"], max_n=8)
+    assert all(r.ok for r in results), [r.failures for r in results]
+    sources = [dist.exact_source(family, params) for family, params in calls]
+    assert len(set(sources)) == len(sources)
+    grid = [Params.exact(N, alpha=alpha) for N in range(1, 9) for alpha in verify.ALPHA_GRID]
+    shift = [Params.exact(N, p=alpha / (N + 1)) for N in range(1, 9) for alpha in verify.ALPHA_GRID]
+    wanted = {dist.exact_source(f, params) for params in grid for f in dist.FAMILIES}
+    wanted |= {dist.exact_source("shifted", params) for params in shift}
+    assert set(sources) == wanted
+    # the pmf suite asks for shifted after avalanche at every grid point: it
+    # reads avalanche's table, one generator on one range
+    built = {(family, params) for family, params in calls}
+    assert {("avalanche", params) for params in grid} <= built
+    assert not {("shifted", params) for params in grid} & built
+
+
+def test_each_run_builds_its_own_tables(monkeypatch):
+    (clean,) = verify.run_suites(["pmf"], max_n=3)
+    assert clean.ok, clean.failures
+    build = dist.pmf_table
+
+    def doubled_first_entry(family, params):
+        table = build(family, params)
+        if not params.is_exact:
+            return table
+        probs = (2 * table.probs_exact[0],) + table.probs_exact[1:]
+        return dist.PmfTable(family, params, table.support, probs, None)
+
+    monkeypatch.setattr(verify.dist, "pmf_table", doubled_first_entry)
+    (broken,) = verify.run_suites(["pmf"], max_n=3)
+    assert broken.checks == clean.checks
+    assert len(broken.failures) == 3 * 3 * len(verify.ALPHA_GRID)
+    assert all(" pmf sum != 1 at " in f for f in broken.failures)
