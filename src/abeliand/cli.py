@@ -95,18 +95,15 @@ def _parse_ratio(text: str) -> Fraction:
     return value
 
 
-# [+]m[.f]e-k in ASCII digits, a form every supported Python's Fraction()
-# reads: its value is M/10^K for M = int(m f) and K = k + len(f).
-_SMALL_DECIMAL = re.compile(r"\s*\+?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]-([0-9]+)\s*")
-
-
 def _least_den_bits(text: str, below: int) -> int:
     """A lower bound on d.bit_length() for the literal's value a/d, read off its text; 0 if none.
 
-    Only a literal of _SMALL_DECIMAL's form that is provably in (0, 1/below)
-    is bounded, so that Fraction() and Params, run later, would admit it.
+    Only a literal [+]m[.f]e-k in ASCII digits, a form that every supported
+    Python's Fraction() reads, is bounded, and only where it is provably in
+    (0, 1/below), so that Fraction() and Params, run later, would admit it.
+    Its value is M/10^K for M = int(m f) and K = k + len(f).
     """
-    match = _SMALL_DECIMAL.fullmatch(text)
+    match = re.fullmatch(r"\s*\+?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]-([0-9]+)\s*", text)
     if match is None:
         return 0
     fraction = match[2] or ""

@@ -254,8 +254,8 @@ def test_pmf_rows_match_the_writers_at_batch_edges(capsys, output, mode, rows):
     ids=["200-half", "100-p1009"],
 )
 def test_pmf_exact_bytes_match_the_writers(capsys, output, family, N, ratio):
-    # alpha = 1/2 at N = 200: some hundred distinct denominators in 200 rows;
-    # p = 1/1009 at N = 100: one or a few in 100 rows
+    # alpha = 1/2 at N = 200: 61-79 distinct denominators in about 200 rows;
+    # p = 1/1009 at N = 100: 1-7 in about 100
     params = Params.exact(N, **{ratio[0][2:]: Fraction(ratio[1])})
     table = dist.pmf_table(family, params)
     rows = [(b, q.numerator, q.denominator) for b, q in zip(table.support, table.probs_exact)]
@@ -631,7 +631,7 @@ def test_exact_size_refusal_converts_no_decimal(capsys, monkeypatch, no_work, co
 
 
 def outcome(capsys, *argv):
-    """"admitted", or a refusal's message with its predicted seconds cut off."""
+    """The verdict: "admitted", or a refusal's message, its predicted seconds apart."""
     try:
         code, out, err = run(capsys, *argv)
     except Admitted:
