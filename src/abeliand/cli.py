@@ -6,7 +6,11 @@ An input refused for its cost exits 2 before any work, on one of two
 limits: float mode serves N <= FLOAT_MAX_N, and each command predicts its
 time from the counts on its command line at the per-unit RATES and refuses
 a prediction over MAX_SECONDS, so an admitted command finishes within about
-MAX_SECONDS on the reference VM.
+MAX_SECONDS on the reference VM.  `pmf`, `moments` and `sample` take their
+(N, alpha | p) through one intake, `_params`, which checks float mode's N
+first and reads the literal's text once, before its Fraction is built: a
+decimal literal whose float is 0.0, or whose exact time is refused, is
+refused without building 10^K.  `limit` reads its alpha the same way.
 
 The default RNG seed is 42; `--seed` wins over the ABELIAND_SEED
 environment variable, which wins over the default.
@@ -23,7 +27,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import islice
 
 from . import dist, sampler, verify
 from .dist import Params
@@ -33,12 +36,14 @@ DEFAULT_SAMPLE_M = 100_000
 
 _MAX_FAILURES_SHOWN = 20
 
-# Rows per write, in CSV and JSON tables alike.  One json.dumps call per row
-# made float `pmf --output json` at N = 10^6 take 4.2 s instead of 1.6 s (2
-# cores, Python 3.11), and one write per row, csv.writer's, made float CSV
-# rows cost several times their table; 64 rows a call run as fast as one call
-# for the whole table, and 64 exact rows at N = 2000 (~7000-digit integers)
-# hold about 1 MB.
+# Rows per write of a `pmf` table, CSV and JSON alike.  One json.dumps call
+# per row made float `pmf --output json` at N = 10^6 take 4.2 s instead of
+# 1.6 s (2 cores, Python 3.11), and one write per row, csv.writer's, made
+# float CSV rows cost several times their table; 64 rows a call run as fast
+# as one call for the whole table, and 64 exact rows at N = 2000
+# (~7000-digit integers) hold about 1 MB.  The other tables are small
+# (`moments` one row, `limit` at most 8170 under its time budget) and
+# _emit_table writes each at once.
 _BATCH = 64
 
 # Float mode's domain: float `pmf`, float `moments` of every family, `limit`
@@ -70,8 +75,16 @@ MAX_SECONDS = 30
 RATES = dict(uniform=2.5e-8, draw=8e-8, pmf=3.7e-12, moments=4.3e-11, row=9e-7, suite=0.5, sweep=3.3e-6)
 
 
-def _check_literal(text: str) -> None:
-    """Refuse a literal whose Fraction() would take unbounded time or fail on its digit count."""
+def _literal_bits(text: str, below: int) -> int:
+    """Refuse a literal whose Fraction() would take unbounded time or fail on
+    its digit count; else a lower bound on d.bit_length() for its value a/d,
+    read off its text, or 0 if none.
+
+    Only a literal [+]m[.f]e-k in ASCII digits, a form that every supported
+    Python's Fraction() reads, is bounded, and only where it is provably in
+    (0, 1/below), so that Fraction() and Params, run later, would admit it.
+    Its value is M/10^K for M = int(m f) and K = k + len(f).
+    """
     # Fraction() builds 10^|e| for a decimal exponent e: 9 s at |e| = 10^7.
     # Past |e| = 10^6 an argument of at most 128 KiB (Linux) is at least 1, or
     # its float is 0.0 and its d has over 10^5 digits: refused downstream anyway.
@@ -83,26 +96,6 @@ def _check_literal(text: str) -> None:
     digits = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
     if 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < digits:
         raise ValueError(f"numbers of <= {limit} digits are served, got {digits} digits")
-
-
-def _parse_ratio(text: str) -> Fraction:
-    """Parse "num/den" or a decimal literal into an exact Fraction."""
-    _check_literal(text)
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse {text!r} as a fraction or decimal") from exc
-    return value
-
-
-def _least_den_bits(text: str, below: int) -> int:
-    """A lower bound on d.bit_length() for the literal's value a/d, read off its text; 0 if none.
-
-    Only a literal [+]m[.f]e-k in ASCII digits, a form that every supported
-    Python's Fraction() reads, is bounded, and only where it is provably in
-    (0, 1/below), so that Fraction() and Params, run later, would admit it.
-    Its value is M/10^K for M = int(m f) and K = k + len(f).
-    """
     match = re.fullmatch(r"\s*\+?(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?[eE]-([0-9]+)\s*", text)
     if match is None:
         return 0
@@ -116,31 +109,41 @@ def _least_den_bits(text: str, below: int) -> int:
     return math.floor(K * math.log2(10) - math.log2(M) - 2.0**-20) + 1
 
 
-def _exact_params(args, command: str, cost) -> Params:
-    """The exact Params, refused if cost(d.bit_length()), a (unit, count), predicts over MAX_SECONDS.
+def _parse_ratio(text: str, bits: int, mode: str) -> Fraction | float:
+    """The exact Fraction of "num/den" or a decimal literal, whose _literal_bits are ``bits``.
 
-    A decimal literal is judged first at _least_den_bits, before Fraction()
-    builds 10^K: the cost rises with the bit length, so a refusal there is
-    one at d, and reports the prediction at the bound.
+    In float mode a literal bounded past 1076 bits is below 2^-1076, so its
+    float is 0.0: that is returned, and 10^K is never built.
     """
-    text, below = (args.p, args.N) if args.p is not None else (args.alpha, 1)
-    _check_literal(text)
-    if args.N >= 1:
-        _check_seconds(command, cost(_least_den_bits(text, below)))
-    params, _ = _build_params(args, "exact")
-    _check_seconds(command, cost(params.p.denominator.bit_length()))
-    return params
+    if mode == "float" and bits > 1076:
+        return 0.0
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {text!r} as a fraction or decimal") from exc
 
 
-def _build_params(args, mode: str) -> tuple[Params, Params]:
-    """The exact Params, checked first, and the Params in ``mode``.
+def _params(args, command: str, mode: str, cost) -> tuple[Params, Params]:
+    """The exact Params of the typed (N, alpha | p), and the Params in ``mode``.
 
-    In float mode the second is the float twin of the typed --alpha or --p.
+    Float mode refuses N over FLOAT_MAX_N first.  Exact mode refuses a
+    prediction over MAX_SECONDS of cost(d.bit_length()), a (unit, count):
+    a decimal literal is judged first at _literal_bits's bound, before
+    Fraction() builds 10^K, since the cost rises with the bit length, so a
+    refusal there is one at d and reports the prediction at the bound.
     """
-    alpha = _parse_ratio(args.alpha) if args.alpha is not None else None
-    p = _parse_ratio(args.p) if args.p is not None else None
-    exact = Params.exact(args.N, p=p, alpha=alpha)
-    return exact, exact if mode == "exact" else Params.stable(args.N, p=p, alpha=alpha)
+    if mode == "float":
+        _check_budget(command, "N", args.N, FLOAT_MAX_N)
+    key, text, below = ("p", args.p, args.N) if args.p is not None else ("alpha", args.alpha, 1)
+    bits = _literal_bits(text, below)
+    if mode == "exact" and args.N >= 1:
+        _check_seconds(command, cost(bits))
+    value = _parse_ratio(text, bits, mode)  # Params refuses a float 0.0 as Params.stable its Fraction
+    exact = Params.exact(args.N, **{key: value})
+    if mode == "exact":
+        _check_seconds(command, cost(exact.p.denominator.bit_length()))
+        return exact, exact
+    return exact, Params.stable(args.N, **{key: value})
 
 
 def _resolve_seed(arg_seed) -> int:
@@ -160,22 +163,8 @@ def _resolve_seed(arg_seed) -> int:
     return seed
 
 
-def _write_json_rows(columns, rows) -> None:
-    """Write the rows as one JSON array of objects, _BATCH rows at a time.
-
-    The bytes are json.dumps([dict(zip(columns, row)) for row in rows]) and a
-    newline, "[]" for no rows included, but no list of all the rows is built.
-    """
-    rows = iter(rows)
-    sep = "["
-    while batch := [dict(zip(columns, row)) for row in islice(rows, _BATCH)]:
-        sys.stdout.write(sep + json.dumps(batch)[1:-1])
-        sep = ", "
-    sys.stdout.write("[]\n" if sep == "[" else "]\n")
-
-
 def _write_pmf(table: dist.PmfTable, output: str) -> None:
-    """Write a PMF table, _BATCH rows a write, in _emit_table's bytes.
+    """Write a PMF table, _BATCH rows a write, in the bytes _emit_table writes for its rows.
 
     Rows are formatted as text: csv.writer and json.dumps write an int as
     str() does and a float as repr() does, but for json.dumps's NaN and
@@ -219,8 +208,9 @@ def _write_pmf(table: dist.PmfTable, output: str) -> None:
 
 
 def _emit_table(args, columns, rows) -> None:
+    """Write a table as CSV, or as one JSON array of row objects and a newline."""
     if args.output == "json":
-        _write_json_rows(columns, rows)
+        sys.stdout.write(json.dumps([dict(zip(columns, row)) for row in rows]) + "\n")
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
@@ -260,12 +250,10 @@ def _check_seconds(command: str, *pieces: tuple[str, int]) -> None:
 
 
 def run_pmf(args) -> int:
-    if args.mode == "float":
-        _check_budget("pmf --mode float", "N", args.N, FLOAT_MAX_N)
-        _, params = _build_params(args, "float")
-    else:
-        # N entries of S = N * d.bit_length() bits, their decimal conversion quadratic in S
-        params = _exact_params(args, "pmf --mode exact", lambda bits: ("pmf", args.N * (args.N * bits) ** 2))
+    # exact: N entries of S = N * d.bit_length() bits, their decimal conversion quadratic in S
+    _, params = _params(
+        args, f"pmf --mode {args.mode}", args.mode, lambda bits: ("pmf", args.N * (args.N * bits) ** 2)
+    )
     table = dist.pmf_table(args.family, params)
     with _unlimited_int_digits():
         _write_pmf(table, args.output)
@@ -273,12 +261,9 @@ def run_pmf(args) -> int:
 
 
 def run_moments(args) -> int:
-    if args.mode == "float":
-        _check_budget(f"moments --family {args.family} --mode float", "N", args.N, FLOAT_MAX_N)
-        _, params = _build_params(args, "float")
-    else:
-        # gcds and conversions of a few values of S bits; the N-term series costs less
-        params = _exact_params(args, "moments --mode exact", lambda bits: ("moments", (args.N * bits) ** 2))
+    command = "moments --mode exact" if args.mode == "exact" else f"moments --family {args.family} --mode float"
+    # exact: gcds and conversions of a few values of S bits; the N-term series costs less
+    _, params = _params(args, command, args.mode, lambda bits: ("moments", (args.N * bits) ** 2))
     m = dist.moments(args.family, params)
     fmt = str if params.is_exact else float
     columns = ["N", "alpha", "mean", "second_moment", "variance"]
@@ -295,8 +280,9 @@ def run_moments(args) -> int:
 
 
 def run_limit(args) -> int:
-    alpha = _parse_ratio(args.alpha)
-    if not 0 < alpha < 1:  # before float(), which overflows on 1e400
+    bits = _literal_bits(args.alpha, 1)  # over 0: provably in (0, 1)
+    alpha = _parse_ratio(args.alpha, bits, "float")  # a float 0.0 is refused by convergence_table
+    if not bits and not 0 < alpha < 1:  # before float(), which overflows on 1e400
         raise ValueError("alpha must lie in (0, 1)")
     _check_budget("limit", "N", max(args.N), FLOAT_MAX_N)
     _check_seconds("limit", ("row", sum(set(args.N))))  # one row per distinct N
@@ -313,9 +299,8 @@ def run_limit(args) -> int:
 
 
 def run_sample(args) -> int:
-    exact, params = _build_params(args, "float")
+    exact, params = _params(args, "sample", "float", None)
     seed = _resolve_seed(args.seed)
-    _check_budget("sample", "N", args.N, FLOAT_MAX_N)
     _check_seconds("sample", ("uniform", args.N * args.M), ("draw", args.M))  # each draw reads N uniforms
     stats = sampler.monte_carlo(params, args.M, seed)
     payload = {

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -115,7 +116,7 @@ def _json_as_one_list(columns, rows):
 def test_json_rows_match_one_list(capsys, rows):
     columns = ["b", "x", "note"]
     table = [(b, [0.1 * b, math.nan, math.inf][b % 3], f"r\"{b}é") for b in range(rows)]
-    cli._write_json_rows(columns, iter(table))
+    cli._emit_table(types.SimpleNamespace(output="json"), columns, iter(table))
     out, _ = capsys.readouterr()
     assert out == _json_as_one_list(columns, table)
     assert rows or out == "[]\n"
@@ -644,32 +645,98 @@ def outcome(capsys, *argv):
 
 
 # Each side of the time edges at N = 3 (d near 2^278000 for moments, 2^548000
-# for pmf), literals the bound reads and literals it leaves to the parse
+# for pmf), literals the bound reads and literals it leaves to the parse, and
+# each side of float mode's zero: 2.4703282292062327e-324 rounds to 0.0 and
+# ...28e-324 to 5e-324, both bounded at 1075 bits; 1e-324 is 0.0 at 1077.
 BOUND_LITERALS = [
     "1e-80000", "1e-83815", "1e-83830", "1e-90000", "7.5e-90000", "0.00120e-89990", "+12345E-90000",
     " 1e-90000 ", "1e-165000", "1e-170000", "-1e-90000", "0e-90000", "0.0e-90000", "1e-1000001",
     "1_0e-90000", "9" * 90001 + "e-90000", "1/3", "1e-5", "5.e-1",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "1e-324", "3e-324", "1e-400",
 ]
 
+BOUND_COMMANDS = {
+    "moments": ("moments",),
+    "pmf": ("pmf", "--family", "avalanche"),
+    "moments-float": ("moments", "--mode", "float"),
+    "pmf-float": ("pmf", "--family", "avalanche", "--mode", "float"),
+    "sample": ("sample",),
+    "limit": ("limit",),
+}
 
-@pytest.mark.parametrize("flag", ["--p", "--alpha"])
-@pytest.mark.parametrize("N", [1, 3, 0, -2])
+
 @pytest.mark.parametrize(
-    "command", [("moments",), ("pmf", "--family", "avalanche")], ids=["moments", "pmf"]
+    "command, N, flag",
+    [
+        pytest.param(command, N, flag, id=f"{name}-{N}-{flag}")
+        for name, command in BOUND_COMMANDS.items()
+        for N in [1, 3, 0, -2]
+        for flag in (["--alpha"] if name == "limit" else ["--p", "--alpha"])
+    ],
 )
 def test_literal_bound_keeps_every_verdict(capsys, monkeypatch, no_work, command, N, flag):
     # The refusal read off the literal, before its Fraction, refuses what the
-    # time check at d refuses and nothing else; its prediction, at a lower
-    # bound on d's bit length, is at most d's.
+    # time check at d, or in float mode the float of the Fraction, refuses
+    # and nothing else; its prediction, at a lower bound on d's bit length,
+    # is at most d's.
+    literal_bits = cli._literal_bits
+
+    def caps_only(text, below):
+        literal_bits(text, below)
+        return 0
+
     for literal in BOUND_LITERALS:
         argv = (*command, "--N", str(N), flag, literal)
         with monkeypatch.context() as unbounded:
-            unbounded.setattr(cli, "_least_den_bits", lambda text, below: 0)
+            unbounded.setattr(cli, "_literal_bits", caps_only)
             at_d = outcome(capsys, *argv)
         early = outcome(capsys, *argv)
         assert early[0] == at_d[0], argv
         if early[1] is not None:
             assert early[1] <= at_d[1], argv
+
+
+FLOAT_ZERO_COMMANDS = [
+    ("sample", "--N", "1", "--p"),
+    ("sample", "--N", "1", "--alpha"),
+    ("pmf", "--family", "abelian", "--mode", "float", "--N", "1", "--p"),
+    ("pmf", "--family", "abelian", "--mode", "float", "--N", "1", "--alpha"),
+    ("moments", "--mode", "float", "--N", "1", "--p"),
+    ("moments", "--mode", "float", "--N", "1", "--alpha"),
+    ("limit", "--alpha"),
+]
+
+
+@pytest.mark.parametrize("literal", ["1e-1000000", "7.5e-999999", "0.001e-400000"])
+@pytest.mark.parametrize(
+    "command",
+    FLOAT_ZERO_COMMANDS,
+    ids=["sample-p", "sample-alpha", "pmf-float-p", "pmf-float-alpha", "moments-float-p", "moments-float-alpha", "limit"],
+)
+def test_float_zero_literal_refused_before_the_fraction(capsys, monkeypatch, command, literal):
+    # Its bound puts the value below 2^-1076, so its float is 0.0; Fraction()
+    # would build 10^1000000 first, about 0.17 s of a 0.24 s refusal (2 vCPUs).
+    def no_fraction(*args):
+        raise AssertionError("Fraction built")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    message = "alpha must lie in (0, 1)" if command[0] == "limit" else "p must be positive"
+    assert refusal(capsys, *command, literal) == f"abeliand: error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sample", "--N", "2000000", "--p", "1/2"), "sample serves N <= 1000000, got N=2000000"),
+        (("limit", "--alpha", "1e-1000000", "--N", "2000000"), "limit serves N <= 1000000, got N=2000000"),
+        (("limit", "--alpha", "1e-400", "--N", "2000000"), "limit serves N <= 1000000, got N=2000000"),
+    ],
+    ids=["sample-n-and-p", "limit-n-and-float-zero", "limit-n-and-1e-400"],
+)
+def test_float_domain_refused_before_the_literal(capsys, argv, message):
+    # Where N is over float mode's domain and the literal is refused too,
+    # the N is reported.
+    assert refusal(capsys, *argv) == f"abeliand: error: {message}\n"
 
 
 def test_time_refusal_past_float_range(capsys, no_work):
