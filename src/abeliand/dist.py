@@ -194,7 +194,7 @@ def _family(family: str) -> tuple:
 
 
 def support(family: str, N: int) -> range:
-    _, _, shift, first, _, _, _ = _family(family)
+    _, shift, first, _, _, _ = _family(family)
     return range(first, N + shift + 1)
 
 
@@ -217,12 +217,21 @@ else:
         return Fraction(num, den, _normalize=False)
 
 
-def _valuation(x: int, q: int) -> int:
-    """Exponent of the prime q in the nonzero integer x."""
+def _remove(x: int, q: int) -> tuple[int, int]:
+    """(x / q^v, v) for v = v_q(x), the exponent of the prime q in the nonzero integer x."""
     v = 0
     while x % q == 0:
         x //= q
         v += 1
+    return x, v
+
+
+def _legendre(m: int, q: int) -> int:
+    """v_q(m!) for a prime q, by Legendre's formula."""
+    v = 0
+    while m:
+        m //= q
+        v += m
     return v
 
 
@@ -230,88 +239,157 @@ def _small_prime_factors(d: int, bound: int) -> list[tuple[int, int]]:
     """(q, v_q(d)) for every prime q <= bound that divides d."""
     out = []
     for q in range(2, bound + 1):
-        if d == 1:
+        if q * q > d:  # d has no factor below q left, so it is 1 or a prime
+            if 1 < d <= bound:
+                out.append((d, 1))
             break
         if d % q == 0:  # prime: its smaller factors are already divided out
-            v = _valuation(d, q)
-            d //= q**v
+            d, v = _remove(d, q)
             out.append((q, v))
     return out
 
 
-# With p = a/d in lowest terms, an Avalanche probability at N is
-# C(N,b) a^b x^(N-b) (b+1)^(b-1) over d^N, x = d - min(b+1, N)a.  The
-# numerator shares with d^N only the primes q <= N+1 of d: gcd(a, d) = 1,
-# gcd(x, d) = gcd(k, d) for x = d - ka with k <= N, and C(N,b) and b+1 have
-# no prime above N+1.  So the kernel strips those q from every base before
-# its power is taken, and the rest of d, d with them divided out, is coprime
-# to every cofactor: the reduced denominator is rest^N, built once per
-# table, times some of the q.  Each q's valuation in the numerator, summed
-# over the bases times their exponents, less its N v_q(d) in d^N, is its
-# surplus: a positive surplus multiplies the numerator by q^surplus, a
-# negative one the denominator.  The binomial comes by the recurrence
-# C(N,b) = C(N,b-1) (N-b+1)/b, its q-free part and valuations carried apart,
-# so the only big-integer division is the exact one by the small q-free part
-# of b, and no gcd is taken.
+def _power_product(x: int, e: int, y: int, f: int) -> int:
+    """x^e y^f by one left-to-right binary ladder over both exponents.
 
-
-def _strip(x: int, primes) -> tuple[int, list[int]]:
-    """x with every q of ``primes``, (q, v_q(d)) pairs, divided out, and v_q(x) for each q."""
-    vs = [_valuation(x, q) for q, _ in primes]
-    for (q, _), v in zip(primes, vs):
-        x //= q**v
-    return x, vs
-
-
-def _avalanche_terms(N: int, p: Fraction, bs: range):
-    """P(X = b) = C(N,b) a^b (d-(b+1)a)^(N-b) (b+1)^(b-1) / d^N for b in bs.
-
-    The base of (d-(b+1)a)^(N-b) is taken as d - min(b+1, N)a > 0: it differs
-    only at b = N, where the exponent is 0.  (b+1)^(b-1) is 1 at b = 0.
-    N = 0 is allowed: its one entry is 1.  bs is a range within 0..N.
+    It squares one accumulator, where x**e * y**f squares two and then
+    multiplies them: about a fifth less work at N = 1000, alpha = 1/2.
     """
-    a, d = p.numerator, p.denominator
-    primes = _small_prime_factors(d, N + 1)
-    rest = d // math.prod(q**e for q, e in primes)
-    rest_N = rest**N
-
-    @functools.cache
-    def surplus_powers(surplus: tuple[int, ...]) -> tuple[int, int]:
-        # few distinct surpluses recur along a table: about 100 over 2000 entries
-        up = math.prod(q**s for (q, _), s in zip(primes, surplus) if s > 0)
-        down = math.prod(q**-s for (q, _), s in zip(primes, surplus) if s < 0)
-        return up, down
-
-    binom, v_binom = 1, [0] * len(primes)  # C(N, b) without its q, and its v_q
-    for b in range(bs.stop):
-        if b:  # C(N, b) = C(N, b-1) (N-b+1) / b
-            factor, v_factor = _strip(N - b + 1, primes)
-            divisor, v_divisor = _strip(b, primes)
-            binom = binom * factor // divisor
-            v_binom = [v + i - j for v, i, j in zip(v_binom, v_factor, v_divisor)]
-        if b < bs.start:
-            continue
-        base, v_base = _strip(d - min(b + 1, N) * a, primes)
-        top, v_top = _strip(b + 1, primes)
-        e_top = max(b - 1, 0)
-        num = binom * a**b * base ** (N - b) * top**e_top
-        valuations = zip(primes, v_binom, v_base, v_top)
-        surplus = tuple(vc + (N - b) * vx + e_top * vt - N * e for (_, e), vc, vx, vt in valuations)
-        up, down = surplus_powers(surplus)
-        yield _coprime_fraction(num * up, rest_N * down)
+    acc = 1
+    for i in range(max(e, f).bit_length() - 1, -1, -1):
+        acc *= acc
+        if e >> i & 1:
+            acc *= x
+        if f >> i & 1:
+            acc *= y
+    return acc
 
 
-def _abelian_terms(N: int, p: Fraction, bs: range):
-    """P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1) for b in bs.
+def _times_powers(x: int, primes: list[int], exponents) -> int:
+    """x times q^e for each prime q of primes whose exponent e is positive; 2^e as a shift."""
+    for q, e in zip(primes, exponents):
+        if e > 0:
+            x = x << e if q == 2 else x * q**e
+    return x
 
-    With p = a/d the weight C/(1 - bp) is (d-Na) d / ((d-(N-1)a)(d-ba)), a
-    ratio of small integers (at b = N its (d-Na) cancels), so multiplying
-    by it takes gcds of a big integer against a small one only.
+
+def _small_parts(ms: range, primes: list[int]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each m in ms with the primes divided out, and its valuations at them, by one sieve over ms."""
+    free = list(ms)
+    columns = []
+    for q in primes:
+        column = [0] * len(ms)
+        for i in range(-ms.start % q, len(ms), q):
+            free[i], column[i] = _remove(free[i], q)
+        columns.append(column)
+    return free, list(zip(*columns)) if primes else [()] * len(ms)
+
+
+# With p = a/d in lowest terms, n >= 1 and c = (d-(n+1)a)/(d-na), every
+# family's probability at its table index j is
+#   P(j) = c^k C(n,j) a^j (d-(j+1)a)^(n-j-k) (j+1)^(j-1) / d^(n-k):
+# the Avalanche law at n for k = 0, and for k = 1 the Abelian law at
+# N = n+1, whose weight C/(1 - bp) at b = j+1 is c/(1 - (j+1)p) and so
+# only lowers the base's exponent by one.  At j = n that exponent is -k:
+# for k = 1 the base d-(n+1)a cancels c's numerator, and the entry is
+# a^n (n+1)^(n-1) / (d^(n-1) (d-na)); for k = 0 the base's power is 1.
+#
+# Only primes q <= n+1 of d and of d-na can cancel.  A prime above n+1 of
+# d divides none of the numerator's integers: gcd(a, d) = 1,
+# gcd(d-(j+1)a, d) = gcd(j+1, d), gcd(d-(n+1)a, d) = gcd(n+1, d), and
+# C(n,j) and j+1 have no prime above n+1.  A prime q of d-na has q ∤ a, so
+# it divides d-(j+1)a = (d-na) + (n-j-1)a only if q | n-j-1, never divides
+# d-(n+1)a = (d-na) - a, and meets C(n,j) and j+1 only if q <= n+1.  So:
+# - each q of d is stripped from every factor before its power is taken.
+#   Its valuation in the numerator, summed over the factors times their
+#   exponents, less its valuation in d^(n-k) (d-na)^k, is its surplus: a
+#   positive surplus multiplies the numerator by q^surplus, a negative one
+#   the denominator.  A table's negative surpluses repeat, so each
+#   denominator is built once;
+# - the primes <= n+1 of d-na that do not divide d make up `small`, which
+#   holds each about once while C(n,j) and j+1 carry them often, so they
+#   are not stripped: g = gcd(small, numerator) is taken over the
+#   numerator's small integers and their powers mod small, divided out of
+#   C(n,j) a^j c's numerator where it can be and out of the numerator
+#   otherwise, and small/g joins the denominator;
+# - what is left of d and of d-na, primes above n+1 only, is coprime to
+#   every factor: (d's rest)^(n-k) (d-na's rest)^k is built once per call.
+# So each entry comes out in lowest terms with at most one gcd, of small.
+#
+# The binomial starts at math.comb(n, j0), its valuations by Legendre's
+# formula, and follows C(n,j) = C(n,j-1) (n-j+1)/j, its q-free part and
+# valuations carried apart, so the only big-integer division is the exact
+# one by the q-free part of j.  The q-free parts and valuations of the
+# small integers (the recurrence's factors and j+1) come from one sieve
+# over the hull of those the call reads: 1..n+1 for a whole table, j0+1
+# alone for one point.
+
+
+def _terms(n: int, p: Fraction, js: range, k: int):
+    """P(j) = c^k C(n,j) a^j (d-(j+1)a)^(n-j-k) (j+1)^(j-1) / d^(n-k) for j in js, in lowest terms.
+
+    p = a/d, c = (d-(n+1)a)/(d-na) and k is 0 or 1, with (n+k)p < 1.
+    (j+1)^(j-1) is 1 at j = 0; at n = 0 the one entry is 1.  js is a
+    nonempty range within 0..n.
     """
+    if n == 0:
+        yield _coprime_fraction(1, 1)
+        return
     a, d = p.numerator, p.denominator
-    avalanche = _avalanche_terms(N - 1, p, range(bs.start - 1, bs.stop - 1))
-    for b, term in zip(bs, avalanche):
-        yield term * Fraction((d - N * a) * d, (d - (N - 1) * a) * (d - b * a))
+    d_primes = _small_prime_factors(d, n + 1)
+    primes = [q for q, _ in d_primes]
+    den_v = [(n - k) * e for _, e in d_primes]
+    rest = (d // math.prod(q**e for q, e in d_primes)) ** (n - k)
+    weight, v_weight, small = 1, [0] * len(primes), 1  # c^k's numerator, stripped
+    if k:
+        weight, rest_w = d - (n + 1) * a, d - n * a
+        for t, q in enumerate(primes):
+            weight, v_weight[t] = _remove(weight, q)
+            rest_w, v = _remove(rest_w, q)
+            den_v[t] += v
+        small = math.prod(q**e for q, e in _small_prime_factors(rest_w, n + 1))
+        rest *= rest_w // small
+
+    j0 = js.start
+    binom = math.comb(n, j0)  # without its q, and its v_q
+    v_binom = [_legendre(n, q) - _legendre(j0, q) - _legendre(n - j0, q) for q in primes]
+    binom //= math.prod(q**v for q, v in zip(primes, v_binom))
+    a_j = a**j0
+    reads = range(j0 + 1, js.stop + 1)  # j+1 for j in js, and the recurrence's divisor j
+    if len(js) > 1:  # and its factor n-j+1
+        reads = range(min(reads.start, n - js.stop + 2), max(reads.stop, n - j0 + 1))
+    free, valuations = _small_parts(reads, primes)
+    lo = reads.start
+    dens: dict[tuple[int, ...], int] = {}
+    for j in js:
+        if j > j0:  # C(n, j) = C(n, j-1) (n-j+1) / j
+            binom = binom * free[n - j + 1 - lo] // free[j - lo]
+            v_binom = [v + i - o for v, i, o in zip(v_binom, valuations[n - j + 1 - lo], valuations[j - lo])]
+            a_j *= a
+        top, e_top = free[j + 1 - lo], max(j - 1, 0)
+        surplus = [vb + e_top * vt - e for vb, vt, e in zip(v_binom, valuations[j + 1 - lo], den_v)]
+        base, e_base, w = 1, 0, 1  # at j = n the base's power is 1 for k = 0 and cancels the weight for k = 1
+        if j < n:
+            base, e_base, w = d - (j + 1) * a, n - j - k, weight
+            for t, q in enumerate(primes):
+                base, v = _remove(base, q)
+                surplus[t] += e_base * v + v_weight[t]
+        head, g, h = binom * a_j * w, 1, 1
+        if small > 1:  # gcd of the numerator and small, taken over its small integers
+            g = math.gcd(small, head * pow(top, e_top, small) * pow(base, e_base, small))
+            h = math.gcd(head, g)
+            head //= h
+        num = _power_product(top, e_top, base, e_base) * head
+        if g > h:  # the rest of g divides the powers
+            num //= g // h
+        num = _times_powers(num, primes, surplus)
+        key = tuple(-s if s < 0 else 0 for s in surplus)
+        den = dens.get(key)
+        if den is None:
+            den = dens[key] = _times_powers(rest, primes, key)
+        if small > 1:
+            den *= small // g
+        yield _coprime_fraction(num, den)
 
 
 def _map(f, x: np.ndarray) -> np.ndarray:
@@ -449,7 +527,7 @@ def _tail_falls(n: int, j0: int, p: float, k: int) -> bool:
 
 def _float_block(family: str, params: Params, b: np.ndarray):
     """P(family = b) at an int64 array b, as a float64 array."""
-    _, log_block, shift, _, _, _, _ = _TERMS[family]
+    log_block, shift, _, _, _, _ = _TERMS[family]
     return _map(math.exp, log_block(params, b - shift, _log_factorial, _math_log, _math_log1p))
 
 
@@ -464,31 +542,32 @@ def pmf(family: str, params: Params, b: int) -> Number:
     if b not in sup:
         raise ValueError(f"b={b} outside {family} support {sup[0]}..{sup[-1]}")
     if params.is_exact:
-        exact_terms, _, shift, _, _, _, _ = _TERMS[family]
-        return next(exact_terms(params.N, params.p, range(b - shift, b - shift + 1)))
+        n, p, _, k = exact_source(family, params)
+        j = b - sup.start
+        return next(_terms(n, p, range(j, j + 1), k))
     import numpy as np
 
     return _float_block(family, params, np.array([b]))[0].item()
 
 
 def exact_source(family: str, params: Params) -> tuple:
-    """The exact generator and the (N, p, range) it runs on for pmf_table.
+    """The (n, p, range, k) that _terms runs on for pmf_table.
 
-    Equal sources give equal probabilities: the avalanche and shifted
-    families, one generator on one range, share theirs.
+    Read at its index j = b - b0, the family's law is _terms at
+    n = N + s - b0 with the record's weight k.  Equal sources give equal
+    probabilities: the avalanche and shifted families share theirs.
     """
-    sup = support(family, params.N)
-    exact_terms, _, shift, _, _, _, _ = _TERMS[family]
-    return exact_terms, params.N, params.p, range(sup.start - shift, sup.stop - shift)
+    _, s, b0, _, _, k = _family(family)
+    n = params.N + s - b0
+    return n, params.p, range(n + 1), k
 
 
 def pmf_table(family: str, params: Params) -> PmfTable:
     """Whole-support table: exact Fractions, or a read-only float64 array."""
     sup = support(family, params.N)
     if params.is_exact:
-        exact_terms, *arguments = exact_source(family, params)
-        return PmfTable(family, params, sup, tuple(exact_terms(*arguments)), None)
-    _, log_block, shift, _, _, _, k = _TERMS[family]
+        return PmfTable(family, params, sup, tuple(_terms(*exact_source(family, params))), None)
+    log_block, shift, _, _, _, k = _TERMS[family]
     import numpy as np
 
     probs = np.zeros(len(sup))
@@ -681,9 +760,9 @@ def _avalanche_second_moment(params: Params) -> Number:
 # table index j = b - b0 it is the Avalanche law at N + s - b0 times a weight
 # c/(1 - (j+1)p)^k, which _tail_falls reads.  Shifted is Avalanche at s = 1.
 _TERMS = {
-    "abelian": (_abelian_terms, _abelian_log_block, 0, 1, abelian_mean, abelian_second_moment, 1),
-    "avalanche": (_avalanche_terms, _avalanche_log_block, 0, 0, avalanche_mean, _avalanche_second_moment, 0),
-    "shifted": (_avalanche_terms, _avalanche_log_block, 1, 1, avalanche_mean, _avalanche_second_moment, 0),
+    "abelian": (_abelian_log_block, 0, 1, abelian_mean, abelian_second_moment, 1),
+    "avalanche": (_avalanche_log_block, 0, 0, avalanche_mean, _avalanche_second_moment, 0),
+    "shifted": (_avalanche_log_block, 1, 1, avalanche_mean, _avalanche_second_moment, 0),
 }
 
 FAMILIES = tuple(_TERMS)
@@ -717,14 +796,39 @@ def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
     return table_moment(pmf_table(family, params), k)
 
 
+def _exact_variance(mean: Fraction, second: Fraction) -> Fraction:
+    """second - mean^2 from the integer numerators over mean's denominator A squared.
+
+    mean^2 = M^2/A^2 is in lowest terms as mean is.  Where second's
+    denominator B divides A, as the Avalanche series' do, the variance is
+    (S (A/B) A - M^2)/A^2, in lowest terms with no gcd: each prime of A
+    divides S (A/B) A and not M^2.  Otherwise one Fraction subtraction.
+    """
+    M, A = mean.numerator, mean.denominator
+    S, B = second.numerator, second.denominator
+    r, rem = divmod(A, B)
+    if rem:
+        return second - _coprime_fraction(M * M, A * A)
+    return _coprime_fraction(S * r * A - M * M, A * A)
+
+
 def moments(family: str, params: Params) -> Moments:
     """The family's moments from its record at shift 0, moved by s; a non-finite float variance is refused."""
-    _, _, s, _, mean_of, second_of, _ = _family(family)
+    _, s, _, mean_of, second_of, _ = _family(family)
     mean, second = mean_of(params), second_of(params)
-    variance = second - mean * mean
+    variance = _exact_variance(mean, second) if params.is_exact else second - mean * mean
     if not (params.is_exact or math.isfinite(variance)):
         raise ValueError("non-finite variance")
     return Moments(mean + s, second + 2 * s * mean + s * s, variance, params.mode)
+
+
+def _power_series(coeffs, a: int, d: int, shift: int) -> Fraction:
+    """sum_m coeffs[m] p^(m + shift) at p = a/d: an integer Horner over d^(shift + m), one gcd in all."""
+    num, a_power = 0, a**shift
+    for c in coeffs:  # num = sum_(m' <= m) coeffs[m'] a^(m' + shift) d^(m - m') after step m
+        num = num * d + c * a_power
+        a_power *= a
+    return Fraction(num, d ** (shift + len(coeffs) - 1)) if coeffs else Fraction(0)
 
 
 def j_decomposition(params: Params) -> JDecomposition:
@@ -742,16 +846,22 @@ def j_decomposition(params: Params) -> JDecomposition:
 
     C = normalization_C(params)
     J1, J3 = _j1_j3(params)
-    # Rows 1..N-1 in one pass: row i less its top coefficient is J2's i-th
-    # polynomial, and less its top two it is P_(i-2) (empty at i = 1).
-    rows = enumerate(islice(stirling_rows(), 1, N), 1)
-    j2_values, p_values = zip(*((horner(row[:i], N), horner(row[: i - 1], N)) for i, row in rows))
-    p_values = p_values[1:]
-    J2 = horner(j2_values, p)
+    # Rows 1..N-1 in one pass, one Horner each at N: row i less its top two
+    # coefficients is P_(i-2) (empty at i = 1), and J2's i-th polynomial,
+    # the row less its top one, adds the next coefficient times N^(i-1).
+    j2_values, p_values, N_power = [], [], 1
+    for i, row in enumerate(islice(stirling_rows(), 1, N), 1):
+        value = horner(row[: i - 1], N)
+        j2_values.append(value + row[i - 1] * N_power)
+        p_values.append(value)
+        N_power *= N
+    del p_values[0]
+    a, d = p.numerator, p.denominator
     kstar = split_index(N)
-    J4 = p * horner(p_values, p)
-    J5 = p * horner(p_values[:kstar], p)
-    J6 = p ** (kstar + 1) * horner(p_values[kstar:], p)
+    J2 = _power_series(j2_values, a, d, 0)
+    J4 = _power_series(p_values, a, d, 1)
+    J5 = _power_series(p_values[:kstar], a, d, 1)
+    J6 = _power_series(p_values[kstar:], a, d, kstar + 1)
     second = abelian_second_moment(params)
 
     if J2 != J3 + J4:
