@@ -3,16 +3,19 @@
 Two evaluation modes share one API.  Exact mode returns
 ``fractions.Fraction`` values, so normalization, moment identities and the
 J-term rewrite of the second moment can be asserted with equality.  It
-computes in integers, with p = a/d in lowest terms.  An Avalanche entry at
-N is a product of powers over d^N: the kernel strips the primes q <= N+1 of
-d from every base before the power is taken and adds each q's surplus back
-to the numerator or the denominator, never both, so the entry comes out in
-lowest terms with no gcd and no big-integer division but the binomial
-recurrence's exact one by b.  One generator yields the entries for a range
-of b, the whole support for a table and one point for scalar pmf.  A series
-is one integer numerator over d^n, reduced by the primes q <= n of d, each
-exactly v_q(n!) times.  The Abelian entry is the Avalanche entry at N-1
-times a ratio of small integers, P(Z_N = b) = C/(1 - bp) * P(X_(N-1) = b-1).
+computes in integers, with p = a/d in lowest terms.  One generator, _terms,
+yields every family's entries: read at its index j, each family is
+c^k C(n,j) a^j (d-(j+1)a)^(n-j-k) (j+1)^(j-1) / d^(n-k) for
+c = (d-(n+1)a)/(d-na), the Avalanche law at n = N for k = 0 and the
+Abelian law for n = N-1, k = 1, whose weight C/(1 - bp) only lowers the
+base's exponent.  The generator strips the primes q <= n+1 of d from every
+factor before its power is taken and adds each q's surplus back to the
+numerator or the denominator, never both; the primes <= n+1 of d-na that
+d lacks meet the numerator in one gcd taken over small integers.  So each
+entry comes out in lowest terms with no Fraction arithmetic, and its only
+big-integer divisions are exact ones by small integers.  It yields the entries for a range of j: the whole support for a table, one
+point for scalar pmf.  A series is one integer numerator over d^n,
+reduced by the primes q <= n of d, each exactly v_q(n!) times.
 Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and
 keeps only their exponentials: one numpy kernel per family maps a block of
 support points to log terms, with Python's math.* functions mapped over the
@@ -46,16 +49,20 @@ running product of the terms (n)_i p^i, one compensated fsum each; the
 bracket switches to the J-term tail form for large N, where it cancels
 catastrophically.  Exact mode builds the same series from one integer
 generator of its partial sums and terms over d^k: the mean and bracket take
-its last partial sum and E(X^2) weights its terms.  rounded_avalanche_mean
+its last partial sum and E(X^2) weights its terms; the exact variance is
+one integer numerator over the mean's denominator squared, in lowest terms
+with no gcd where E(X^2)'s denominator divides the mean's, as the
+Avalanche series' does.  rounded_avalanche_mean
 brackets a prefix of the mean's series in F-bit fixed point, at a cost that
 does not grow with the length of d.  J1 and the closed form of J3 are
 written once, for the float tail and the exact J-term rewrite alike.
-The exact rewrite evaluates the Stirling-row polynomials P_i(N) by integer
-Horner, and J2, J4, J5 and J6 each as one Horner evaluation in p.
+The exact rewrite evaluates each Stirling-row polynomial P_i(N) by one
+integer Horner, J2's polynomial at N from it, and J2, J4, J5 and J6 each as
+one integer numerator over a power of d, one gcd apiece.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
 shifted family Y = X + 1, the Avalanche family at shift 1, on {1..N+1}; each
-is one seven-field record in _TERMS, whose mean and second moment moments()
+is one six-field record in _TERMS, whose mean and second moment moments()
 reads.  Float moments() refuses a variance that is not finite.  The shared
 parameter constraint is 0 < p < 1/N; alpha = N*p is the scale-free form.
 """
@@ -265,11 +272,11 @@ def _power_product(x: int, e: int, y: int, f: int) -> int:
     return acc
 
 
-def _times_powers(x: int, primes: list[int], exponents) -> int:
-    """x times q^e for each prime q of primes whose exponent e is positive; 2^e as a shift."""
+def _times_powers(x: int, primes: list[int], exponents, power) -> int:
+    """x times power(q, e) = q^e for each prime q of primes whose exponent e is positive; 2^e as a shift."""
     for q, e in zip(primes, exponents):
         if e > 0:
-            x = x << e if q == 2 else x * q**e
+            x = x << e if q == 2 else x * power(q, e)
     return x
 
 
@@ -361,6 +368,7 @@ def _terms(n: int, p: Fraction, js: range, k: int):
     free, valuations = _small_parts(reads, primes)
     lo = reads.start
     dens: dict[tuple[int, ...], int] = {}
+    power = functools.cache(pow)  # a table's surpluses take few values
     for j in js:
         if j > j0:  # C(n, j) = C(n, j-1) (n-j+1) / j
             binom = binom * free[n - j + 1 - lo] // free[j - lo]
@@ -382,11 +390,11 @@ def _terms(n: int, p: Fraction, js: range, k: int):
         num = _power_product(top, e_top, base, e_base) * head
         if g > h:  # the rest of g divides the powers
             num //= g // h
-        num = _times_powers(num, primes, surplus)
+        num = _times_powers(num, primes, surplus, power)
         key = tuple(-s if s < 0 else 0 for s in surplus)
         den = dens.get(key)
         if den is None:
-            den = dens[key] = _times_powers(rest, primes, key)
+            den = dens[key] = _times_powers(rest, primes, key, power)
         if small > 1:
             den *= small // g
         yield _coprime_fraction(num, den)
@@ -753,12 +761,13 @@ def _avalanche_second_moment(params: Params) -> Number:
     return Fraction(num, d**N)
 
 
-# family -> (exact terms, log block, shift s, first support point b0, mean,
-# second moment, tail weight k): the family lives on b0..N + s, where
-# P(family = b) is the terms' entry, and the exp of the log block's term, at
-# b - s; the moments are those at shift 0, which moments() moves by s.  At the
-# table index j = b - b0 it is the Avalanche law at N + s - b0 times a weight
-# c/(1 - (j+1)p)^k, which _tail_falls reads.  Shifted is Avalanche at s = 1.
+# family -> (log block, shift s, first support point b0, mean, second
+# moment, tail weight k): the family lives on b0..N + s, where
+# P(family = b) is the exp of the log block's term at b - s; the moments are
+# those at shift 0, which moments() moves by s.  At the table index
+# j = b - b0 it is the Avalanche law at n = N + s - b0 times a weight
+# c/(1 - (j+1)p)^k: exact mode runs _terms at (n, k), and _tail_falls reads
+# the bound on that weight.  Shifted is Avalanche at s = 1.
 _TERMS = {
     "abelian": (_abelian_log_block, 0, 1, abelian_mean, abelian_second_moment, 1),
     "avalanche": (_avalanche_log_block, 0, 0, avalanche_mean, _avalanche_second_moment, 0),
@@ -834,9 +843,10 @@ def _power_series(coeffs, a: int, d: int, shift: int) -> Fraction:
 def j_decomposition(params: Params) -> JDecomposition:
     """Exact J1..J6 terms of the second-moment rewrite, invariants checked.
 
-    J2 comes from the raw double sum over rows s(i, .), J3 from the closed
-    form the float tail uses, and J4 through the truncated-row polynomials
-    P_i, so J2 = J3 + J4 checks that closed form in exact arithmetic.
+    J4 comes through the truncated-row polynomials P_i, J2 from the same
+    rows s(i, .) with their next coefficient, and J3 from the closed form
+    the float tail uses, so J2 = J3 + J4 checks that closed form against
+    the rows' coefficients in exact arithmetic.
     """
     if not params.is_exact:
         raise ValueError("j_decomposition requires exact-mode params")

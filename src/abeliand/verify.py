@@ -112,9 +112,10 @@ def suite_bounds() -> SuiteResult:
 class ExactTables:
     """The exact PMF tables of one run of the suites, each built once.
 
-    Keyed by dist.exact_source, the generator and the arguments a table comes
-    from, so the avalanche and shifted families, one generator on one range,
-    share a table.  The exact suites take one; run_suites makes one per run.
+    Keyed by dist.exact_source, the (n, p, range, k) that the exact
+    generator runs on for a table, so the avalanche and shifted families,
+    one input to it, share a table.  The exact suites take one; run_suites
+    makes one per run.
     """
 
     def __init__(self):

@@ -194,7 +194,7 @@ def test_one_run_builds_each_exact_table_once(monkeypatch):
     wanted |= {dist.exact_source("shifted", params) for params in shift}
     assert set(sources) == wanted
     # the pmf suite asks for shifted after avalanche at every grid point: it
-    # reads avalanche's table, one generator on one range
+    # reads avalanche's table, one generator input
     built = {(family, params) for family, params in calls}
     assert {("avalanche", params) for params in grid} <= built
     assert not {("shifted", params) for params in grid} & built
