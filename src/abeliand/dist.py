@@ -71,9 +71,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import TYPE_CHECKING, Union
 
 from .stirling import horner, split_index, stirling_rows
@@ -625,7 +626,7 @@ def _falling_power_sum(n: int, a: int, d: int) -> Fraction:
     s = 0
     for s, _ in _falling_power_series(n, a, d):
         pass
-    g = math.prod(q ** sum(n // q**j for j in range(1, n.bit_length())) for q, _ in _small_prime_factors(d, n))
+    g = math.prod(q ** _legendre(n, q) for q, _ in _small_prime_factors(d, n))
     return _coprime_fraction(s // g, d**n // g)
 
 
@@ -832,12 +833,15 @@ def moments(family: str, params: Params) -> Moments:
 
 
 def _power_series(coeffs, a: int, d: int, shift: int) -> Fraction:
-    """sum_m coeffs[m] p^(m + shift) at p = a/d: an integer Horner over d^(shift + m), one gcd in all."""
-    num, a_power = 0, a**shift
-    for c in coeffs:  # num = sum_(m' <= m) coeffs[m'] a^(m' + shift) d^(m - m') after step m
-        num = num * d + c * a_power
-        a_power *= a
-    return Fraction(num, d ** (shift + len(coeffs) - 1)) if coeffs else Fraction(0)
+    """sum_m coeffs[m] p^(m + shift) at p = a/d, from one integer Horner in d, one gcd in all.
+
+    With L coefficients the sum is a^shift sum_m coeffs[m] a^m d^(L-1-m)
+    over d^(shift + L - 1).
+    """
+    if not coeffs:
+        return Fraction(0)
+    scaled = [c * t for c, t in zip(coeffs, accumulate(repeat(a, len(coeffs) - 1), operator.mul, initial=1))]
+    return Fraction(a**shift * horner(scaled[::-1], d), d ** (shift + len(coeffs) - 1))
 
 
 def j_decomposition(params: Params) -> JDecomposition:

@@ -254,16 +254,51 @@ def exact_params(draw):
     return Params.exact(N, p=Fraction(a, d))
 
 
+@st.composite
+def weight_prime_params(draw):
+    """N and p = a/d where the Abelian weight's d - (N-1)a carries primes <= N.
+
+    w = d - (N-1)a is drawn as a product of small primes, times a cofactor
+    above N at times, and a is drawn coprime to w: then gcd(a, d) = 1 and
+    N*a < d.  a > w/2 puts the Avalanche p in (1/(N+1), 1/N), where
+    (N+1)p > 1; a = w - 1 draws it often.  N = 1 and 2 are drawn often.
+    """
+    N = draw(st.sampled_from([1, 2, 1, 2, 3, 4, 6, 7, 12, 13, 20, 30]))
+    w = 1
+    for q in (2, 3, 5, 7, 11, 13):
+        if q <= max(N, 2):
+            w *= q ** draw(st.integers(0, 3))
+    w *= draw(st.sampled_from([1, 1, N + 1, 1000003]))
+    w = max(w, 2)
+    a = draw(st.sampled_from([1, w - 1]) | st.integers(1, w - 1))
+    assume(math.gcd(a, w) == 1)
+    return Params.exact(N, p=Fraction(a, w + (N - 1) * a))
+
+
+# The Abelian weight C/(1 - bp) is folded into the generator's integers;
+# its d - (N-1)a is 1001 = 7*11*13 at the first example, and d has 99 and
+# 999 digits at the others.
 @settings(max_examples=150, deadline=None)
-@given(family=st.sampled_from(FAMILIES), params=exact_params())
-def test_exact_table_matches_reference_terms(family, params):
-    expected = reference_table(family, params)
-    table = pmf_table(family, params)
-    scalar = [pmf(family, params, b) for b in table.support]
-    for got in (table.probs_exact, scalar):
-        # numerator and denominator apart: an unreduced Fraction fails here
-        assert [q.numerator for q in got] == [q.numerator for q in expected]
-        assert [q.denominator for q in got] == [q.denominator for q in expected]
+@given(params=exact_params() | weight_prime_params())
+@example(params=Params.exact(1000, p=Fraction(1, 2000)))
+@example(params=Params.exact(200, p=Fraction("1e-99")))
+@example(params=Params.exact(20, p=Fraction("1e-999")))
+def test_exact_table_matches_reference_terms(params):
+    """Each family's table and its scalar pmf at every b against the reference Fractions.
+
+    The three examples take about 3 s in all, most of it the reference
+    Fractions at N = 1000 and at N = 200, p = 1e-99, whose integers run to
+    22000 and 66000 bits.  The shifted reference is the Avalanche one.
+    """
+    references = {family: reference_table(family, params) for family in ("abelian", "avalanche")}
+    for family in FAMILIES:
+        expected = references.get(family, references["avalanche"])
+        table = pmf_table(family, params)
+        scalar = [pmf(family, params, b) for b in table.support]
+        for got in (table.probs_exact, scalar):
+            # numerator and denominator apart: an unreduced Fraction fails here
+            assert [q.numerator for q in got] == [q.numerator for q in expected]
+            assert [q.denominator for q in got] == [q.denominator for q in expected]
 
 
 def plain_moment(table, k):
@@ -321,52 +356,6 @@ def test_exact_table_at_strip_edges_matches_reference_terms(family, params):
     got = pmf_table(family, params).probs_exact
     assert [q.numerator for q in got] == [q.numerator for q in expected]
     assert [q.denominator for q in got] == [q.denominator for q in expected]
-
-
-@st.composite
-def weight_prime_params(draw):
-    """N and p = a/d where the Abelian weight's d - (N-1)a carries primes <= N.
-
-    w = d - (N-1)a is drawn as a product of small primes, times a cofactor
-    above N at times, and a is drawn coprime to w: then gcd(a, d) = 1 and
-    N*a < d.  a > w/2 puts the Avalanche p in (1/(N+1), 1/N), where
-    (N+1)p > 1; a = w - 1 draws it often.  N = 1 and 2 are drawn often.
-    """
-    N = draw(st.sampled_from([1, 2, 1, 2, 3, 4, 6, 7, 12, 13, 20, 30]))
-    w = 1
-    for q in (2, 3, 5, 7, 11, 13):
-        if q <= max(N, 2):
-            w *= q ** draw(st.integers(0, 3))
-    w *= draw(st.sampled_from([1, 1, N + 1, 1000003]))
-    w = max(w, 2)
-    a = draw(st.sampled_from([1, w - 1]) | st.integers(1, w - 1))
-    assume(math.gcd(a, w) == 1)
-    return Params.exact(N, p=Fraction(a, w + (N - 1) * a))
-
-
-# The weight C/(1 - bp) of the Abelian family is folded into the
-# generator's integers; its d - (N-1)a is 1001 = 7*11*13 at the first
-# example, and d has 99 and 999 digits at the others.
-@settings(max_examples=150, deadline=None)
-@given(params=weight_prime_params())
-@example(params=Params.exact(1000, p=Fraction(1, 2000)))
-@example(params=Params.exact(200, p=Fraction("1e-99")))
-@example(params=Params.exact(20, p=Fraction("1e-999")))
-def test_exact_tables_and_scalar_pmf_match_reference_terms(params):
-    """Each family's table and its scalar pmf at every b against the reference Fractions.
-
-    The three examples take about 3 s in all, most of it the reference
-    Fractions at N = 1000 and at N = 200, p = 1e-99, whose integers run to
-    22000 and 66000 bits.  The shifted reference is the Avalanche one.
-    """
-    references = {family: reference_table(family, params) for family in ("abelian", "avalanche")}
-    for family in FAMILIES:
-        expected = references.get(family, references["avalanche"])
-        table = pmf_table(family, params)
-        scalar = [pmf(family, params, b) for b in table.support]
-        for got in (table.probs_exact, scalar):
-            assert [q.numerator for q in got] == [q.numerator for q in expected]
-            assert [q.denominator for q in got] == [q.denominator for q in expected]
 
 
 @st.composite
