@@ -13,9 +13,10 @@ factor before its power is taken and adds each q's surplus back to the
 numerator or the denominator, never both; the primes <= n+1 of d-na that
 d lacks meet the numerator in one gcd taken over small integers.  So each
 entry comes out in lowest terms with no Fraction arithmetic, and its only
-big-integer divisions are exact ones by small integers.  It yields the entries for a range of j: the whole support for a table, one
-point for scalar pmf.  A series is one integer numerator over d^n,
-reduced by the primes q <= n of d, each exactly v_q(n!) times.
+big-integer divisions are exact ones by small integers.  It yields the
+entries for a range of j: the whole support for a table, one point for
+scalar pmf.  A series is one integer numerator over d^n, reduced by the
+primes q <= n of d, each exactly v_q(n!) times.
 Float mode evaluates PMFs in log space (log-gamma binomials, log1p) and
 keeps only their exponentials: one numpy kernel per family maps a block of
 support points to log terms, with Python's math.* functions mapped over the
@@ -305,9 +306,10 @@ def _small_parts(ms: range, primes: list[int]) -> tuple[list[int], list[tuple[in
 # Only primes q <= n+1 of d and of d-na can cancel.  A prime above n+1 of
 # d divides none of the numerator's integers: gcd(a, d) = 1,
 # gcd(d-(j+1)a, d) = gcd(j+1, d), gcd(d-(n+1)a, d) = gcd(n+1, d), and
-# C(n,j) and j+1 have no prime above n+1.  A prime q of d-na has q ∤ a, so
-# it divides d-(j+1)a = (d-na) + (n-j-1)a only if q | n-j-1, never divides
-# d-(n+1)a = (d-na) - a, and meets C(n,j) and j+1 only if q <= n+1.  So:
+# C(n,j) and j+1 have no prime above n+1.  A prime q of d-na does not
+# divide a, so it divides d-(j+1)a = (d-na) + (n-j-1)a only if q | n-j-1,
+# never divides d-(n+1)a = (d-na) - a, and meets C(n,j) and j+1 only if
+# q <= n+1.  So:
 # - each q of d is stripped from every factor before its power is taken.
 #   Its valuation in the numerator, summed over the factors times their
 #   exponents, less its valuation in d^(n-k) (d-na)^k, is its surplus: a
@@ -326,8 +328,8 @@ def _small_parts(ms: range, primes: list[int]) -> tuple[list[int], list[tuple[in
 #
 # The binomial starts at math.comb(n, j0), its valuations by Legendre's
 # formula, and follows C(n,j) = C(n,j-1) (n-j+1)/j, its q-free part and
-# valuations carried apart, so the only big-integer division is the exact
-# one by the q-free part of j.  The q-free parts and valuations of the
+# valuations carried apart, so each step's one big-integer division is the
+# exact one by the q-free part of j.  The q-free parts and valuations of the
 # small integers (the recurrence's factors and j+1) come from one sieve
 # over the hull of those the call reads: 1..n+1 for a whole table, j0+1
 # alone for one point.
