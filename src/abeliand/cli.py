@@ -65,8 +65,9 @@ MAX_SECONDS = 30
 #   N >= 1000 as the rate says.
 # - pmf: 2.3-3.7e-12 s a unit of exact `pmf`, 24.4 s at N = 2000,
 #   alpha = 999999/1000000.
-# - moments: 3.3-4.3e-11 s a unit of exact Avalanche `moments`, 16.2 s at
-#   N = 40000, alpha = 1/2; the Abelian ones take about a quarter of that.
+# - moments: 1.9-3.2e-11 s a unit of exact Avalanche and shifted `moments`
+#   since their one walk of the series (2.0-3.6e-11 before), 8.9 s at
+#   N = 40000, alpha = 1/2; the Abelian ones take 0.4-0.7 of that.
 # - row: a `limit` row's float Abelian variance near alpha = 1: 37 rows
 #   near N = 10^6 at alpha = 0.999999 took 31.9 s; at alpha = 0.5 a row
 #   takes under 1 ms.

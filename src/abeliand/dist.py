@@ -50,21 +50,24 @@ running product of the terms (n)_i p^i, one compensated fsum each; the
 bracket switches to the J-term tail form for large N, where it cancels
 catastrophically.  Exact mode builds the same series from one integer
 generator of its partial sums and terms over d^k: the mean and bracket take
-its last partial sum and E(X^2) weights its terms; the exact variance is
-one integer numerator over the mean's denominator squared, in lowest terms
-with no gcd where E(X^2)'s denominator divides the mean's, as the
-Avalanche series' does.  rounded_avalanche_mean
-brackets a prefix of the mean's series in F-bit fixed point, at a cost that
-does not grow with the length of d.  J1 and the closed form of J3 are
-written once, for the float tail and the exact J-term rewrite alike.
-The exact rewrite evaluates each Stirling-row polynomial P_i(N) by one
-integer Horner, J2's polynomial at N from it, and J2, J4, J5 and J6 each as
-one integer numerator over a power of d, one gcd apiece.
+its last partial sum, reduced by the primes q <= n of d, and the Avalanche
+E(X^2) weights its terms in the same walk, reduced as the mean is and then
+by the primes of d that divide its last weight.  So E(X^2)'s denominator
+divides the mean's, and the Avalanche variance is one integer over the
+mean's denominator squared, in lowest terms with no gcd.
+rounded_avalanche_mean brackets a prefix of the mean's series in F-bit
+fixed point, at a cost that does not grow with the length of d.  J1 and
+the closed form of J3 are written once, for the float tail and the exact
+J-term rewrite alike.  The exact rewrite evaluates each Stirling-row
+polynomial P_i(N) by one integer Horner, J2's polynomial at N from it, and
+J2, J4, J5 and J6 each as one integer numerator over a power of d, one gcd
+apiece.
 
 The Abelian family lives on {1..N}, the Avalanche family on {0..N}, and the
 shifted family Y = X + 1, the Avalanche family at shift 1, on {1..N+1}; each
-is one six-field record in _TERMS, whose mean and second moment moments()
-reads.  Float moments() refuses a variance that is not finite.  The shared
+is one five-field record in _TERMS, whose moments function gives the mean,
+E(X^2) and variance at shift 0 in one call, which moments() moves by s.
+Float moments() refuses a variance that is not finite.  The shared
 parameter constraint is 0 < p < 1/N; alpha = N*p is the scale-free form.
 """
 
@@ -203,7 +206,7 @@ def _family(family: str) -> tuple:
 
 
 def support(family: str, N: int) -> range:
-    _, shift, first, _, _, _ = _family(family)
+    _, shift, first, _, _ = _family(family)
     return range(first, N + shift + 1)
 
 
@@ -538,7 +541,7 @@ def _tail_falls(n: int, j0: int, p: float, k: int) -> bool:
 
 def _float_block(family: str, params: Params, b: np.ndarray):
     """P(family = b) at an int64 array b, as a float64 array."""
-    log_block, shift, _, _, _, _ = _TERMS[family]
+    log_block, shift, _, _, _ = _TERMS[family]
     return _map(math.exp, log_block(params, b - shift, _log_factorial, _math_log, _math_log1p))
 
 
@@ -568,7 +571,7 @@ def exact_source(family: str, params: Params) -> tuple:
     n = N + s - b0 with the record's weight k.  Equal sources give equal
     probabilities: the avalanche and shifted families share theirs.
     """
-    _, s, b0, _, _, k = _family(family)
+    _, s, b0, _, k = _family(family)
     n = params.N + s - b0
     return n, params.p, range(n + 1), k
 
@@ -578,7 +581,7 @@ def pmf_table(family: str, params: Params) -> PmfTable:
     sup = support(family, params.N)
     if params.is_exact:
         return PmfTable(family, params, sup, tuple(_terms(*exact_source(family, params))), None)
-    log_block, shift, _, _, _, k = _TERMS[family]
+    log_block, shift, _, _, k = _TERMS[family]
     import numpy as np
 
     probs = np.zeros(len(sup))
@@ -744,37 +747,62 @@ def _float_J4_terms(N: int, alpha: float):
 
 
 def abelian_variance(params: Params) -> Moments:
-    """moments("abelian", params), the headline quantity, under the name verify and perfbench call."""
+    """moments("abelian", params) under an older name, kept only until the benchmark in perfbench/ calls moments."""
     return moments("abelian", params)
 
 
-def _avalanche_second_moment(params: Params) -> Number:
-    """E(X^2) = sum_{i=1..N} (i^2 + 3i - 2)/2 * (N)_i p^i, every term positive.
+def _abelian_moments(params: Params) -> tuple[Number, Number, Number]:
+    """(E(Z), E(Z^2), Var Z), the first two read through their module-level names."""
+    mean, second = abelian_mean(params), abelian_second_moment(params)
+    return mean, second, second - mean * mean
 
-    Checked against brute_force_moment, not proved.
-    """
+
+# E(X^2) = sum_{i=1..N} w_i (N)_i p^i with w_i = (i^2 + 3i - 2)/2, every term
+# positive (checked against brute_force_moment, not proved): over d^N its
+# numerator weights the terms t_k of the mean's series.  Each term k < N
+# carries a prime q of d more often than v_q(N!): its (N)_k and d^(N-k) hold
+# q at least v_q(N!) - v_q((N-k)!) + (N-k) > v_q(N!) times, as v_q(m!) < m
+# for m >= 1.  The last term, w_N N! a^N, holds q exactly v_q(N!) times
+# unless q divides w_N.  So after the mean's division by q^(v_q(N!)) for
+# q <= N, only the primes of gcd(w_N, d) can be common to the numerator and
+# the denominator; stripped while the denominator holds them, it still
+# divides the mean's denominator A.  With the mean M/A in lowest terms, the
+# variance is (S (A/B) A - M^2)/A^2, and that is in lowest terms with no gcd:
+# each prime of A divides S (A/B) A and not M^2.
+def _avalanche_moments(params: Params) -> tuple[Number, Number, Number]:
+    """(E(X), E(X^2), Var X) from one walk of the falling-power series."""
     N, p = params.N, params.p
     weights = (i * (i + 3) // 2 - 1 for i in range(1, N + 1))
     if not params.is_exact:
-        return math.fsum(w * t for w, t in zip(weights, _falling_powers(N, p)))
+        terms = list(_falling_powers(N, p))
+        mean, second = math.fsum(terms), math.fsum(w * t for w, t in zip(weights, terms))
+        return mean, second, second - mean * mean
     a, d = p.numerator, p.denominator
-    num = 0
-    for w, (_, t) in zip(weights, _falling_power_series(N, a, d)):
+    s = num = 0
+    for w, (s, t) in zip(weights, _falling_power_series(N, a, d)):
         num = num * d + w * t  # over d^k at step k, as s_k
-    return Fraction(num, d**N)
+    g = math.prod(q ** _legendre(N, q) for q, _ in _small_prime_factors(d, N))  # as in _falling_power_sum
+    M, A = s // g, d**N // g
+    S, B = num // g, A
+    for q, _ in _small_prime_factors(math.gcd(N * (N + 3) // 2 - 1, d), d):
+        while B % q == 0 and S % q == 0:
+            S //= q
+            B //= q
+    variance = _coprime_fraction(S * (A // B) * A - M * M, A * A)
+    return _coprime_fraction(M, A), _coprime_fraction(S, B), variance
 
 
-# family -> (log block, shift s, first support point b0, mean, second
-# moment, tail weight k): the family lives on b0..N + s, where
-# P(family = b) is the exp of the log block's term at b - s; the moments are
-# those at shift 0, which moments() moves by s.  At the table index
-# j = b - b0 it is the Avalanche law at n = N + s - b0 times a weight
-# c/(1 - (j+1)p)^k: exact mode runs _terms at (n, k), and _tail_falls reads
-# the bound on that weight.  Shifted is Avalanche at s = 1.
+# family -> (log block, shift s, first support point b0, moments, tail
+# weight k): the family lives on b0..N + s, where P(family = b) is the exp
+# of the log block's term at b - s; the moments function gives the mean,
+# second moment and variance at shift 0, which moments() moves by s.  At the
+# table index j = b - b0 it is the Avalanche law at n = N + s - b0 times a
+# weight c/(1 - (j+1)p)^k: exact mode runs _terms at (n, k), and _tail_falls
+# reads the bound on that weight.  Shifted is Avalanche at s = 1.
 _TERMS = {
-    "abelian": (_abelian_log_block, 0, 1, abelian_mean, abelian_second_moment, 1),
-    "avalanche": (_avalanche_log_block, 0, 0, avalanche_mean, _avalanche_second_moment, 0),
-    "shifted": (_avalanche_log_block, 1, 1, avalanche_mean, _avalanche_second_moment, 0),
+    "abelian": (_abelian_log_block, 0, 1, _abelian_moments, 1),
+    "avalanche": (_avalanche_log_block, 0, 0, _avalanche_moments, 0),
+    "shifted": (_avalanche_log_block, 1, 1, _avalanche_moments, 0),
 }
 
 FAMILIES = tuple(_TERMS)
@@ -808,27 +836,10 @@ def brute_force_moment(family: str, params: Params, k: int) -> Fraction:
     return table_moment(pmf_table(family, params), k)
 
 
-def _exact_variance(mean: Fraction, second: Fraction) -> Fraction:
-    """second - mean^2 from the integer numerators over mean's denominator A squared.
-
-    mean^2 = M^2/A^2 is in lowest terms as mean is.  Where second's
-    denominator B divides A, as the Avalanche series' do, the variance is
-    (S (A/B) A - M^2)/A^2, in lowest terms with no gcd: each prime of A
-    divides S (A/B) A and not M^2.  Otherwise one Fraction subtraction.
-    """
-    M, A = mean.numerator, mean.denominator
-    S, B = second.numerator, second.denominator
-    r, rem = divmod(A, B)
-    if rem:
-        return second - _coprime_fraction(M * M, A * A)
-    return _coprime_fraction(S * r * A - M * M, A * A)
-
-
 def moments(family: str, params: Params) -> Moments:
     """The family's moments from its record at shift 0, moved by s; a non-finite float variance is refused."""
-    _, s, _, mean_of, second_of, _ = _family(family)
-    mean, second = mean_of(params), second_of(params)
-    variance = _exact_variance(mean, second) if params.is_exact else second - mean * mean
+    _, s, _, moments_of, _ = _family(family)
+    mean, second, variance = moments_of(params)
     if not (params.is_exact or math.isfinite(variance)):
         raise ValueError("non-finite variance")
     return Moments(mean + s, second + 2 * s * mean + s * s, variance, params.mode)
@@ -915,7 +926,7 @@ def convergence_table(alpha: float, N_list) -> list[ConvergenceRow]:
     rows = []
     for N in Ns:
         try:
-            v = abelian_variance(Params.stable(N, alpha=alpha)).variance
+            v = moments("abelian", Params.stable(N, alpha=alpha)).variance
         except (OverflowError, ValueError) as exc:
             rows.append(ConvergenceRow(N, None, limit, None, str(exc)))
             continue

@@ -153,7 +153,7 @@ def suite_moments(max_n: int = 25, tables: ExactTables | None = None) -> SuiteRe
     for N in range(1, max_n + 1):
         for alpha in ALPHA_GRID:
             params = Params.exact(N, alpha=alpha)
-            m = dist.abelian_variance(params)
+            m = dist.moments("abelian", params)
             table = tables.get("abelian", params)
             r.check(
                 m.mean == dist.table_moment(table, 1),
@@ -266,8 +266,8 @@ def suite_float(tables: ExactTables | None = None) -> SuiteResult:
                 worst <= 1e-9,
                 f"float {family} pmf off by {worst:.3e} at N={N}, alpha={alpha}",
             )
-        ve = dist.abelian_variance(exact).variance
-        vf = dist.abelian_variance(approx).variance
+        ve = dist.moments("abelian", exact).variance
+        vf = dist.moments("abelian", approx).variance
         r.check(
             abs(vf - float(ve)) <= 1e-9 * float(ve),
             f"float variance off at N={N}, alpha={alpha}",

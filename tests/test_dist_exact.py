@@ -20,6 +20,7 @@ from abeliand.dist import (
     avalanche_mean,
     brute_force_moment,
     j_decomposition,
+    moments,
     normalization_C,
     pmf,
     pmf_table,
@@ -497,6 +498,50 @@ def test_exact_series_come_in_lowest_terms(params):
     expected = [series(N), normalization_C(params) / p * (head - series(N - 1))]
     got = [avalanche_mean(params), abelian_second_moment(params)]
     assert [(q.numerator, q.denominator) for q in got] == [(q.numerator, q.denominator) for q in expected]
+
+
+@st.composite
+def last_weight_params(draw):
+    """N and p = a/d where d shares primes with w_N = (N^2 + 3N - 2)/2.
+
+    w_N weights the last term of the Avalanche E[X^2] series, and only its
+    primes can be common to that series' numerator and denominator once the
+    mean's reduction is done.  d holds some of them, at up to 4 times, with
+    a cofactor at times; N = 1 (w_N = 1) is drawn as well.
+    """
+    N = draw(st.integers(1, 40))
+    w, primes, q = N * (N + 3) // 2 - 1, [], 2
+    while w > 1:
+        while w % q == 0:
+            w //= q
+            primes.append(q)
+        q += 1
+    d = math.prod(q ** draw(st.integers(0, 4)) for q in set(primes))
+    d *= draw(st.sampled_from([1, 1, 2, 3, N + 1, 1000003]))
+    while d <= N:
+        d *= draw(st.sampled_from(primes or [2]))
+    a = draw(st.sampled_from([1, (d - 1) // N]) | st.integers(1, (d - 1) // N))
+    assume(math.gcd(a, d) == 1)
+    return Params.exact(N, p=Fraction(a, d))
+
+
+# At these points d's prime 2 divides w_N (64, 526, 628 and 628), so E[X^2]
+# shares it with d^N beyond the mean's reduction.
+@settings(max_examples=150, deadline=None)
+@given(params=exact_params() | last_weight_params())
+@example(params=Params.exact(10, p=Fraction(1, 18)))
+@example(params=Params.exact(31, p=Fraction(1, 54)))
+@example(params=Params.exact(34, p=Fraction(1, 54)))
+@example(params=Params.exact(34, p=Fraction(3, 250)))
+def test_exact_moments_match_brute_force_in_lowest_terms(params):
+    """Each family's mean and E[X^2] against the table sums, numerator and denominator apart, and
+    its variance against E[X^2] - E[X]^2 reduced by Fraction."""
+    for family in FAMILIES:
+        m = moments(family, params)
+        mean, second = brute_force_moment(family, params, 1), brute_force_moment(family, params, 2)
+        expected = [mean, second, second - mean**2]
+        got = [m.mean, m.second_moment, m.variance]
+        assert [(q.numerator, q.denominator) for q in got] == [(q.numerator, q.denominator) for q in expected]
 
 
 def test_rounded_avalanche_mean_needs_exact_params():
