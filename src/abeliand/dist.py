@@ -778,13 +778,13 @@ def _avalanche_moments(params: Params) -> tuple[Number, Number, Number]:
         mean, second = math.fsum(terms), math.fsum(w * t for w, t in zip(weights, terms))
         return mean, second, second - mean * mean
     a, d = p.numerator, p.denominator
-    s = num = 0
+    num = 0
     for w, (s, t) in zip(weights, _falling_power_series(N, a, d)):
         num = num * d + w * t  # over d^k at step k, as s_k
     g = math.prod(q ** _legendre(N, q) for q, _ in _small_prime_factors(d, N))  # as in _falling_power_sum
     M, A = s // g, d**N // g
     S, B = num // g, A
-    for q, _ in _small_prime_factors(math.gcd(N * (N + 3) // 2 - 1, d), d):
+    for q, _ in _small_prime_factors(math.gcd(w, d), d):  # w is w_N, the last weight
         while B % q == 0 and S % q == 0:
             S //= q
             B //= q

@@ -534,8 +534,10 @@ def last_weight_params(draw):
 @example(params=Params.exact(34, p=Fraction(1, 54)))
 @example(params=Params.exact(34, p=Fraction(3, 250)))
 def test_exact_moments_match_brute_force_in_lowest_terms(params):
-    """Each family's mean and E[X^2] against the table sums, numerator and denominator apart, and
-    its variance against E[X^2] - E[X]^2 reduced by Fraction."""
+    """Each family's mean, E[X^2] and variance against the table sums, numerator and denominator apart.
+
+    The variance's reference is E[X^2] - E[X]^2 of the table sums, reduced by Fraction.
+    """
     for family in FAMILIES:
         m = moments(family, params)
         mean, second = brute_force_moment(family, params, 1), brute_force_moment(family, params, 2)
